@@ -20,6 +20,17 @@ involved.  Rows fall into two regimes:
   the source part of the graph exactly block-diagonal by class) and the
   remaining ``1 - delta`` share to target neighbours.
 
+Every row needs only its ``k + 1`` smallest block costs, so the updates work
+on whole cost blocks at once: :func:`_closed_form` takes one ``np.partition``
+per block and sorts only the ``k + 1`` kept values of each row, giving every
+row's boundary ``a[k]`` and denominator.  A generic row's nonzero weights are
+then ``(a[k] - c) / denom`` wherever ``c < a[k]``, the same arithmetic as
+:func:`_block_weights`.  Only the fallback rows (at most one finite
+candidate, ``k`` at least the finite count, or a degenerate denominator,
+where ties need the stable column order) go through :func:`_block_weights`
+one by one.  The multipliers ``lam`` of :func:`quadratic_charge` and
+:func:`block_multiplier` come from the same helper.
+
 Graphs are stored row-wise as ``(columns, weights)`` pairs; a dense matrix is
 materialized only for Laplacian assembly and inspection.
 """
@@ -51,11 +62,19 @@ class AffinityGraph:
     delta: float
     structured: bool
 
+    def edges(self):
+        """Stored entries as flat ``(rows, columns, weights)`` arrays in row order."""
+        counts = [cols.size for cols, _ in self.rows]
+        rows = np.repeat(np.arange(len(self.rows)), counts)
+        cols = np.concatenate([cols for cols, _ in self.rows])
+        weights = np.concatenate([weights for _, weights in self.rows])
+        return rows, cols, weights
+
     def toarray(self):
         """Dense ``(n, n)`` matrix of the stored rows."""
         S = np.zeros((self.n_samples, self.n_samples))
-        for i, (cols, weights) in enumerate(self.rows):
-            S[i, cols] = weights
+        rows, cols, weights = self.edges()
+        S[rows, cols] = weights
         return S
 
 
@@ -126,45 +145,110 @@ def _block_weights(costs, k):
     return np.maximum((boundary - costs) / denom, 0.0)
 
 
+def _closed_form(costs, k):
+    """Closed-form quantities of every row of a cost block.
+
+    ``costs`` is a ``(rows, candidates)`` block with ``+inf`` marking the
+    excluded candidates.  One partition per block finds each row's ``k + 1``
+    smallest costs; only those are sorted.
+
+    Returns
+    -------
+    boundary : ndarray of shape (rows,)
+        ``a[k]`` of each row's ascending costs ``a`` (``+inf`` where the row
+        has at most ``k`` finite candidates).
+    denom : ndarray of shape (rows,)
+        ``k * a[k] - sum(a[:k])`` (zero where the row has at most ``k``
+        finite candidates), so ``denom > DEGENERATE_DENOM`` marks exactly the
+        rows that :func:`_block_weights` treats generically.
+    """
+    finite = np.count_nonzero(np.isfinite(costs), axis=1)
+    boundary = np.full(costs.shape[0], np.inf)
+    denom = np.zeros(costs.shape[0])
+    generic = finite > k
+    if generic.any():
+        part = costs[generic]
+        part.partition(k, axis=1)
+        ranked = np.sort(part[:, : k + 1], axis=1)
+        boundary[generic] = ranked[:, k]
+        denom[generic] = k * ranked[:, k] - ranked[:, :k].sum(axis=1)
+    return boundary, denom
+
+
+def _multipliers(denom, mass):
+    """``lam = denom / (2 * mass)`` per row; zero on fallback rows or no mass."""
+    lam = np.zeros(denom.shape)
+    charged = (denom > DEGENERATE_DENOM) & (mass > 0.0)
+    np.divide(denom, 2.0 * mass, out=lam, where=charged)
+    return lam
+
+
 def block_multiplier(costs, k, mass):
     """Implicit quadratic multiplier of one block's row subproblem.
 
     Returns the ``lam`` under which :func:`_block_weights` is the exact
-    minimizer.  Blocks handled by a uniform fallback carry no quadratic
-    charge (``lam = 0``).
+    minimizer.  Blocks handled by a uniform fallback, and blocks without
+    mass, carry no quadratic charge (``lam = 0``).
     """
-    q = costs.size
-    if q <= 1 or k >= q:
-        return 0.0
-    ranked = np.sort(costs, kind="stable")
-    denom = k * ranked[k] - ranked[:k].sum()
-    if denom <= DEGENERATE_DENOM:
-        return 0.0
-    return denom / (2.0 * mass)
+    _, denom = _closed_form(np.asarray(costs, dtype=float).reshape(1, -1), k)
+    return float(_multipliers(denom, mass)[0])
 
 
-def _collect(cols, weights):
+def _source_mass(src, delta):
+    """Source-block mass per row: ``delta``, or zero without a same-class peer."""
+    return np.where(np.isfinite(src).any(axis=1), float(delta), 0.0)
+
+
+def _block_entries(costs, k, mass):
+    """Nonzero weights of every row of a cost block, scaled by its row's mass.
+
+    ``costs`` is a ``(rows, candidates)`` block (``+inf`` = excluded) and
+    ``mass`` holds one mass per row.  Generic rows are computed together
+    from :func:`_closed_form`; fallback rows go through
+    :func:`_block_weights`.  Returns unsorted ``(rows, columns, weights)``
+    arrays with block-local indices, each row's columns ascending.
+    """
+    boundary, denom = _closed_form(costs, k)
+    batched = denom > DEGENERATE_DENOM
+    rows, cols = np.nonzero(costs < np.where(batched, boundary, -np.inf)[:, None])
+    weights = mass[rows] * ((boundary[rows] - costs[rows, cols]) / denom[rows])
+    parts = [(rows, cols, weights)]
+    for i in np.flatnonzero(~batched):
+        cands = np.flatnonzero(np.isfinite(costs[i]))
+        w = mass[i] * _block_weights(costs[i, cands], k)
+        parts.append((np.full(cands.size, i), cands, w))
+    rows, cols, weights = (np.concatenate(p) for p in zip(*parts))
     keep = weights > 0.0
-    return cols[keep], weights[keep]
+    return rows[keep], cols[keep], weights[keep]
+
+
+def _split_rows(n_rows, rows, cols, weights):
+    """``(columns, weights)`` pairs per row from entries listed block by block.
+
+    Splitting at the ``n_rows`` running totals leaves one empty last piece,
+    which is dropped.
+    """
+    order = np.argsort(rows, kind="stable")
+    bounds = np.cumsum(np.bincount(rows, minlength=n_rows))
+    pieces = zip(np.split(cols[order], bounds), np.split(weights[order], bounds))
+    return list(pieces)[:n_rows]
 
 
 def update_target_rows(A, k, n_source):
     """Closed-form rows for the target samples.
 
     Each target row spends unit mass over all other samples (source and
-    target alike) with at most ``k`` nonzero weights.
+    target alike) with at most ``k`` nonzero weights.  The whole target
+    block ``A[n_source:]`` is solved with one :func:`_closed_form` call;
+    fallback rows take the scalar :func:`_block_weights` path.
 
     Returns
     -------
     rows : list of (columns, weights) pairs, one per target sample.
     """
-    n = A.shape[0]
-    rows = []
-    for i in range(n_source, n):
-        cands = np.flatnonzero(np.isfinite(A[i]))
-        weights = _block_weights(A[i, cands], k)
-        rows.append(_collect(cands, weights))
-    return rows
+    block = A[n_source:]
+    entries = _block_entries(block, k, np.ones(block.shape[0]))
+    return _split_rows(block.shape[0], *entries)
 
 
 def update_source_rows(A, k, delta, source_labels):
@@ -175,26 +259,25 @@ def update_source_rows(A, k, delta, source_labels):
     sample itself); the target block receives mass ``1 - delta`` with at
     most ``k`` neighbours.  A source sample whose class has no other member
     puts its entire mass on the target block, keeping the row stochastic.
+    The source block ``A[:n_s, :n_s]`` and the target block
+    ``A[:n_s, n_s:]`` each take one :func:`_closed_form` call; fallback
+    rows take the scalar :func:`_block_weights` path.
 
     Returns
     -------
     rows : list of (columns, weights) pairs, one per source sample.
     """
-    n = A.shape[0]
     n_s = np.asarray(source_labels).size
-    target_cols = np.arange(n_s, n)
-    rows = []
-    for i in range(n_s):
-        src_cands = np.flatnonzero(np.isfinite(A[i, :n_s]))
-        src_weights = _block_weights(A[i, src_cands], k)
-        tgt_weights = _block_weights(A[i, target_cols], k)
-        src_mass = delta if src_cands.size else 0.0
-        cols = np.concatenate([src_cands, target_cols])
-        weights = np.concatenate(
-            [src_mass * src_weights, (1.0 - src_mass) * tgt_weights]
-        )
-        rows.append(_collect(cols, weights))
-    return rows
+    src = A[:n_s, :n_s]
+    src_mass = _source_mass(src, delta)
+    src_rows, src_cols, src_weights = _block_entries(src, k, src_mass)
+    tgt_rows, tgt_cols, tgt_weights = _block_entries(A[:n_s, n_s:], k, 1.0 - src_mass)
+    return _split_rows(
+        n_s,
+        np.concatenate([src_rows, tgt_rows]),
+        np.concatenate([src_cols, tgt_cols + n_s]),
+        np.concatenate([src_weights, tgt_weights]),
+    )
 
 
 def build_graph(A, k, delta, source_labels, structured=True):
@@ -232,25 +315,22 @@ def gaussian_knn_graph(Z, k, n_source, width=1.0):
 
     Weights are ``exp(-dist^2 / (2 * width^2))`` over each sample's ``k``
     nearest neighbours, normalized to unit row sums.  This is the
-    predefined-similarity alternative to the self-learned graph.
+    predefined-similarity alternative to the self-learned graph.  One
+    stable sort along the rows picks every row's neighbours, ties to the
+    lower column; a row whose kernel weights all underflow is uniform.
     """
     D = pairwise_sq_dists(Z)
     np.fill_diagonal(D, np.inf)
     n = D.shape[0]
     k_eff = min(k, n - 1)
-    rows = []
-    for i in range(n):
-        cols = np.argsort(D[i], kind="stable")[:k_eff]
-        cols = np.sort(cols)
-        weights = np.exp(-D[i, cols] / (2.0 * width**2))
-        total = weights.sum()
-        if total <= 0.0:
-            weights = np.full(cols.size, 1.0 / cols.size)
-        else:
-            weights = weights / total
-        rows.append((cols, weights))
+    cols = np.sort(np.argsort(D, axis=1, kind="stable")[:, :k_eff], axis=1)
+    weights = np.exp(-np.take_along_axis(D, cols, axis=1) / (2.0 * width**2))
+    total = weights.sum(axis=1)
+    vanished = total <= 0.0
+    weights /= np.where(vanished, 1.0, total)[:, None]
+    weights[vanished] = 1.0 / k_eff
     return AffinityGraph(
-        rows=rows,
+        rows=list(zip(cols, weights)),
         n_samples=n,
         n_source=n_source,
         k=k_eff,
@@ -286,29 +366,28 @@ def quadratic_charge(A, graph):
 
     Multipliers are recomputed from the cost matrix ``A`` exactly as the row
     updates pin them, block by block, so the value is consistent with the
-    row subproblems the graph solves.
+    row subproblems the graph solves.  Each block takes one
+    :func:`_closed_form` call; fallback rows carry ``lam = 0``.  The block
+    sums of squared weights come from the graph's flat edge arrays, counting
+    only edges with a finite cost.
     """
     n_s = graph.n_source if graph.structured else 0
-    total = 0.0
-    for i, (cols, weights) in enumerate(graph.rows):
-        if graph.structured and i < n_s:
-            src_cands = np.flatnonzero(np.isfinite(A[i, :n_s]))
-            src_mass = graph.delta if src_cands.size else 0.0
-            blocks = [
-                (src_cands, src_mass),
-                (np.arange(n_s, graph.n_samples), 1.0 - src_mass),
-            ]
-        else:
-            blocks = [(np.flatnonzero(np.isfinite(A[i])), 1.0)]
-        for cands, mass in blocks:
-            if mass <= 0.0 or cands.size == 0:
-                continue
-            lam = block_multiplier(A[i, cands], graph.k, mass)
-            if lam == 0.0:
-                continue
-            inside = np.isin(cols, cands)
-            total += lam * float(np.sum(weights[inside] ** 2))
-    return total
+    # lam[i, 0] charges the source block of a source row or the whole row of
+    # any other row; lam[i, 1] charges the target block of a source row.
+    lam = np.zeros((graph.n_samples, 2))
+    _, denom = _closed_form(A[n_s:], graph.k)
+    lam[n_s:, 0] = _multipliers(denom, 1.0)
+    if n_s:
+        src = A[:n_s, :n_s]
+        src_mass = _source_mass(src, graph.delta)
+        _, denom = _closed_form(src, graph.k)
+        lam[:n_s, 0] = _multipliers(denom, src_mass)
+        _, denom = _closed_form(A[:n_s, n_s:], graph.k)
+        lam[:n_s, 1] = _multipliers(denom, 1.0 - src_mass)
+    rows, cols, weights = graph.edges()
+    block = (rows < n_s) & (cols >= n_s)
+    charged = np.isfinite(A[rows, cols])
+    return float(np.sum(lam[rows, block.astype(int)][charged] * weights[charged] ** 2))
 
 
 def write_edges(graph, sink=None):

@@ -9,9 +9,13 @@ by the harmonic solution
 obtained here with a Cholesky solve of the free-free Laplacian block.  For a
 connected graph each free row of the solution is a probability vector (the
 entries are hitting probabilities of the clamped classes).  Free samples
-with no path to a clamped sample are resolved by the solver's ridge repair
-and come out as near-zero rows, which the argmax decision then maps to class
-zero.
+with no path to a clamped sample make ``L_ff`` singular in exact arithmetic,
+yet rounding usually leaves its Cholesky pivots positive, so the
+factorization succeeds without a ridge repair.  Their right-hand side is
+zero, so their rows come out exactly zero, and the argmax decision maps them
+to class zero without notice.  On the 3000-sample synthetic shift with
+``k = 20`` (generator seed 0), 416 of 1500 target rows end this way at the
+fourth iteration, with no ridge repair.
 """
 
 import numpy as np

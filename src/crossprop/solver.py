@@ -51,7 +51,7 @@ from .graph import (
     laplacian,
     quadratic_charge,
 )
-from .linalg import pairwise_sq_dists, solve_sym_definite_geig
+from .linalg import solve_sym_definite_geig
 from .mmd import discrepancy_matrix
 from .propagation import decide_labels, harmonic_solve
 
@@ -134,6 +134,18 @@ def solve_projection(X, M, L, alpha, gamma, d):
     return solve_sym_definite_geig(left, centered_gram(X), d).vectors
 
 
+def _edge_energy(Y, rows, cols, weights):
+    """``sum_e w_e * ||Y[row_e] - Y[col_e]||^2`` over the listed edges."""
+    diff = Y[rows] - Y[cols]
+    return float(weights @ np.einsum("ij,ij->i", diff, diff))
+
+
+def _graph_scale(L):
+    """Frobenius norm of a Laplacian, or one for an empty graph."""
+    scale = np.linalg.norm(L, "fro")
+    return scale if scale > 0.0 else 1.0
+
+
 def objective(
     P,
     graph,
@@ -153,26 +165,21 @@ def objective(
     Frobenius norm of the iteration's Laplacian so the monitored value
     matches the normalized Laplacian the projection step saw.  The row
     multipliers are recomputed from the cost matrix at the evaluation point
-    unless a frozen ``cost_matrix`` is supplied.
+    unless a frozen ``cost_matrix`` is supplied; only then is a dense cost
+    matrix built.  The graph and label energies are summed over the graph's
+    edges.
     """
     Z = P.T @ X
-    S = graph.toarray()
-    dist_z = pairwise_sq_dists(Z)
-    graph_energy = float(np.sum(S * dist_z))
+    rows, cols, weights = graph.edges()
+    graph_energy = _edge_energy(Z.T, rows, cols, weights)
     label_energy = 0.0
-    dist_f = None
     if F is not None:
-        dist_f = pairwise_sq_dists(np.asarray(F, dtype=float).T)
-        label_energy = float(np.sum(S * dist_f))
+        F = np.asarray(F, dtype=float)
+        label_energy = _edge_energy(F, rows, cols, weights)
     if cost_matrix is None:
-        cost_matrix = dist_z.copy()
-        if dist_f is not None and beta != 0.0:
-            cost_matrix = cost_matrix + beta * dist_f
-        if graph.structured and source_labels is not None:
-            labels = np.asarray(source_labels, dtype=int)
-            cross = labels[:, None] != labels[None, :]
-            cost_matrix[: labels.size, : labels.size][cross] = np.inf
-        np.fill_diagonal(cost_matrix, np.inf)
+        cost_matrix = affinity_cost(
+            Z, F, beta, source_labels if graph.structured else None
+        )
     charge = quadratic_charge(cost_matrix, graph)
     ZM = Z @ M
     discrepancy = float(np.sum(ZM * Z))
@@ -248,6 +255,7 @@ def fit(dataset, params=None, log_sink=None, on_iteration=None):
     else:
         graph = init_graph(X, params.k, params.delta, y_s, structured=structured)
     _, L = laplacian(graph)
+    scale = _graph_scale(L)
     F_free = harmonic_solve(L, clamp)
     F = np.vstack([clamp, F_free])
     pseudo = decide_labels(F_free)
@@ -276,8 +284,6 @@ def fit(dataset, params=None, log_sink=None, on_iteration=None):
             graph = gaussian_knn_graph(Z, params.k, n_s)
             cost = None
         else:
-            scale = np.linalg.norm(L, "fro")
-            scale = scale if scale > 0.0 else 1.0
             P = solve_projection(X, M, L / scale, params.alpha, params.gamma, d)
             Z = P.T @ X
             cost = affinity_cost(Z, F, cost_beta, y_s if structured else None)
@@ -286,13 +292,13 @@ def fit(dataset, params=None, log_sink=None, on_iteration=None):
             )
 
         _, L = laplacian(graph)
+        scale = _graph_scale(L)
         F_free = harmonic_solve(L, clamp)
         F = np.vstack([clamp, F_free])
         new_pseudo = decide_labels(F_free)
         change = float(np.mean(new_pseudo != pseudo))
         pseudo = new_pseudo
 
-        scale = np.linalg.norm(L, "fro")
         value = objective(
             P,
             graph,
@@ -303,9 +309,11 @@ def fit(dataset, params=None, log_sink=None, on_iteration=None):
             cost_beta,
             params.gamma,
             source_labels=y_s if structured else None,
-            graph_scale=scale if scale > 0.0 else 1.0,
+            graph_scale=scale,
             cost_matrix=cost,
         )
+        # Free the n x n cost before the next iteration builds its own.
+        del cost
 
         report.iterations = t
         report.objective_trace.append(value)

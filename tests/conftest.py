@@ -207,3 +207,72 @@ def oracle_graph_row(cost_row, i, n_source, k, delta, structured):
     else:
         solve_block(np.flatnonzero(np.isfinite(cost_row)), 1.0)
     return out
+
+
+def rowwise_graph_rows(A, k, delta, source_labels, structured=True):
+    """Row-by-row graph step: one :func:`_block_weights` call per row block.
+
+    This is the per-row loop the batched row updates replace; the batched
+    rows must equal it bit for bit.
+    """
+    from crossprop.graph import _block_weights
+
+    n = A.shape[0]
+    n_s = np.asarray(source_labels).size if structured else 0
+
+    def collect(cols, weights):
+        keep = weights > 0.0
+        return cols[keep], weights[keep]
+
+    rows = []
+    target_cols = np.arange(n_s, n)
+    for i in range(n_s):
+        src_cands = np.flatnonzero(np.isfinite(A[i, :n_s]))
+        src_weights = _block_weights(A[i, src_cands], k)
+        tgt_weights = _block_weights(A[i, target_cols], k)
+        src_mass = delta if src_cands.size else 0.0
+        rows.append(
+            collect(
+                np.concatenate([src_cands, target_cols]),
+                np.concatenate(
+                    [src_mass * src_weights, (1.0 - src_mass) * tgt_weights]
+                ),
+            )
+        )
+    for i in range(n_s, n):
+        cands = np.flatnonzero(np.isfinite(A[i]))
+        rows.append(collect(cands, _block_weights(A[i, cands], k)))
+    return rows
+
+
+def rowwise_quadratic_charge(A, graph):
+    """Per-row loop for ``sum_i sum_b lam_{i,b} * ||row block||^2``.
+
+    Each block's multiplier comes from a full sort of its candidate costs
+    and each block's weights are picked with ``np.isin``.
+    """
+    from crossprop.graph import DEGENERATE_DENOM
+
+    k = graph.k
+    n_s = graph.n_source if graph.structured else 0
+    total = 0.0
+    for i, (cols, weights) in enumerate(graph.rows):
+        if i < n_s:
+            src_cands = np.flatnonzero(np.isfinite(A[i, :n_s]))
+            src_mass = graph.delta if src_cands.size else 0.0
+            blocks = [
+                (src_cands, src_mass),
+                (np.arange(n_s, graph.n_samples), 1.0 - src_mass),
+            ]
+        else:
+            blocks = [(np.flatnonzero(np.isfinite(A[i])), 1.0)]
+        for cands, mass in blocks:
+            if mass <= 0.0 or cands.size <= k:
+                continue
+            ranked = np.sort(A[i, cands], kind="stable")
+            denom = k * ranked[k] - ranked[:k].sum()
+            if denom <= DEGENERATE_DENOM:
+                continue
+            inside = np.isin(cols, cands)
+            total += denom / (2.0 * mass) * float(np.sum(weights[inside] ** 2))
+    return total
