@@ -7,6 +7,10 @@ pseudo-labels stabilize.  See :func:`crossprop.solver.fit` for the entry
 point and the README for the file formats and CLI.
 """
 
+from ._malloc import pin_mmap_threshold
+
+pin_mmap_threshold()
+
 from .baselines import nearest_neighbor, simplex_qp_oracle
 from .data import (
     Dataset,

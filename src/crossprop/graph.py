@@ -107,7 +107,9 @@ def affinity_cost(Z, F, beta, source_labels=None):
         raise ShapeError("more source labels than samples")
     A = pairwise_sq_dists(Z)
     if F is not None and beta != 0.0:
-        A = A + beta * pairwise_sq_dists(np.asarray(F, dtype=float).T)
+        label_cost = pairwise_sq_dists(np.asarray(F, dtype=float).T)
+        label_cost *= beta
+        A += label_cost
     if source_labels is not None:
         source_labels = np.asarray(source_labels, dtype=int)
         n_s = source_labels.size
@@ -355,9 +357,18 @@ def laplacian(graph):
         ``diag(W @ 1) - W``.  Callers that need a scale-free Laplacian can
         divide by ``numpy.linalg.norm(L, 'fro')``.
     """
-    S = graph.toarray() if isinstance(graph, AffinityGraph) else np.asarray(graph)
-    W = (S + S.T) / 2.0
-    L = np.diag(W.sum(axis=1)) - W
+    if isinstance(graph, AffinityGraph):
+        # S[i, j] + S[j, i] straight from the edges, without a dense S.
+        rows, cols, weights = graph.edges()
+        W = np.zeros((graph.n_samples, graph.n_samples))
+        W[rows, cols] = weights
+        W[cols, rows] += weights
+    else:
+        S = np.asarray(graph, dtype=float)
+        W = S + S.T
+    W /= 2.0
+    L = 0.0 - W
+    L[np.diag_indices_from(L)] += W.sum(axis=1)
     return W, L
 
 

@@ -46,9 +46,12 @@ def pairwise_sq_dists(Z):
     """
     Z = np.asarray(Z, dtype=float)
     G = Z.T @ Z
-    G = (G + G.T) / 2.0
-    sq = np.diag(G)
-    D = sq[:, None] + sq[None, :] - 2.0 * G
+    G = G + G.T
+    G /= 2.0
+    sq = np.diag(G).copy()
+    D = sq[:, None] + sq[None, :]
+    G *= 2.0
+    D -= G
     np.maximum(D, 0.0, out=D)
     np.fill_diagonal(D, 0.0)
     return D
@@ -88,7 +91,8 @@ def solve_spd_linear(A, B):
     B = np.asarray(B, dtype=float)
     if not np.all(np.isfinite(A)):
         raise SingularMatrix("coefficient matrix contains non-finite entries")
-    A = (A + A.T) / 2.0
+    A = A + A.T
+    A /= 2.0
     try:
         factor = scipy.linalg.cho_factor(A)
     except scipy.linalg.LinAlgError:

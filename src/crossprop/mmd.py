@@ -52,22 +52,42 @@ def conditional_mmd(source_labels, target_pseudo_labels, n_classes):
     """
     source_labels = np.asarray(source_labels, dtype=int)
     target_pseudo_labels = np.asarray(target_pseudo_labels, dtype=int)
+    n = source_labels.size + target_pseudo_labels.size
+    return _add_class_blocks(
+        np.zeros((n, n)), source_labels, target_pseudo_labels, n_classes
+    )
+
+
+def _add_class_blocks(M, source_labels, target_pseudo_labels, n_classes):
+    """Add every class's conditional outer product to ``M`` in place; return ``M``.
+
+    A class indicator vector is zero outside its class's members, and the
+    classes partition the samples, so each outer product is added only on its
+    own rows and columns: every entry of ``M`` receives at most one term, the
+    same sum as adding the full ``n x n`` products one after another.
+    """
     for labels in (source_labels, target_pseudo_labels):
         if labels.size and (labels.min() < 0 or labels.max() >= n_classes):
             raise LabelError("labels must lie in [0, n_classes)")
     n_s = source_labels.size
-    n_t = target_pseudo_labels.size
-    n = n_s + n_t
-    M = np.zeros((n, n))
     for c in range(n_classes):
         src = np.flatnonzero(source_labels == c)
         tgt = np.flatnonzero(target_pseudo_labels == c)
         if src.size == 0 or tgt.size == 0:
             continue
-        e = np.zeros(n)
-        e[src] = 1.0 / src.size
-        e[n_s + tgt] = -1.0 / tgt.size
-        M += np.outer(e, e)
+        members = np.concatenate([src, n_s + tgt])
+        e = np.concatenate(
+            [np.full(src.size, 1.0 / src.size), np.full(tgt.size, -1.0 / tgt.size)]
+        )
+        M[np.ix_(members, members)] += np.outer(e, e)
+    return M
+
+
+def _scale_to_unit_norm(M):
+    """Divide ``M`` in place by its Frobenius norm unless that is zero; return ``M``."""
+    norm = np.linalg.norm(M, "fro")
+    if norm > 0.0:
+        M /= norm
     return M
 
 
@@ -80,17 +100,18 @@ def combined_mmd(M0, Mc):
     Mc = np.asarray(Mc, dtype=float)
     if M0.shape != Mc.shape:
         raise ShapeError(f"mismatched shapes {M0.shape} and {Mc.shape}")
-    M = M0 + Mc
-    norm = np.linalg.norm(M, "fro")
-    if norm > 0.0:
-        M = M / norm
-    return M
+    return _scale_to_unit_norm(M0 + Mc)
 
 
 def discrepancy_matrix(source_labels, target_pseudo_labels, n_classes):
-    """Combined matrix straight from the label vectors (marginal + conditional)."""
+    """Combined matrix straight from the label vectors (marginal + conditional).
+
+    Equal to ``combined_mmd(marginal_mmd(...), conditional_mmd(...))``, but the
+    class blocks are added into the marginal matrix and scaled in place, so
+    only one ``n x n`` array is allocated.
+    """
     source_labels = np.asarray(source_labels, dtype=int)
     target_pseudo_labels = np.asarray(target_pseudo_labels, dtype=int)
-    M0 = marginal_mmd(source_labels.size, target_pseudo_labels.size)
-    Mc = conditional_mmd(source_labels, target_pseudo_labels, n_classes)
-    return combined_mmd(M0, Mc)
+    M = marginal_mmd(source_labels.size, target_pseudo_labels.size)
+    _add_class_blocks(M, source_labels, target_pseudo_labels, n_classes)
+    return _scale_to_unit_norm(M)

@@ -284,7 +284,8 @@ def fit(dataset, params=None, log_sink=None, on_iteration=None):
             graph = gaussian_knn_graph(Z, params.k, n_s)
             cost = None
         else:
-            P = solve_projection(X, M, L / scale, params.alpha, params.gamma, d)
+            L /= scale  # the projection is this Laplacian's last use
+            P = solve_projection(X, M, L, params.alpha, params.gamma, d)
             Z = P.T @ X
             cost = affinity_cost(Z, F, cost_beta, y_s if structured else None)
             graph = build_graph(
