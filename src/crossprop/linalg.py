@@ -46,12 +46,12 @@ def pairwise_sq_dists(Z):
     """
     Z = np.asarray(Z, dtype=float)
     G = Z.T @ Z
-    G = G + G.T
-    G /= 2.0
-    sq = np.diag(G).copy()
-    D = sq[:, None] + sq[None, :]
-    G *= 2.0
-    D -= G
+    sym = G + G.T
+    sym /= 2.0
+    sq = np.diag(sym).copy()
+    D = np.add(sq[:, None], sq[None, :], out=G)  # the Gram buffer is free now
+    sym *= 2.0
+    D -= sym
     np.maximum(D, 0.0, out=D)
     np.fill_diagonal(D, 0.0)
     return D
