@@ -31,14 +31,17 @@ where ties need the stable column order) go through :func:`_block_weights`
 one by one.  The multipliers ``lam`` of :func:`quadratic_charge` and
 :func:`block_multiplier` come from the same helper.
 
-Graphs are stored row-wise as ``(columns, weights)`` pairs; a dense matrix is
-materialized only for Laplacian assembly and inspection.
+A graph is stored as one ``scipy.sparse.csr_array`` from the graph step to
+the CLI; a dense matrix is materialized only for Laplacian assembly and
+inspection.
 """
 
+import os
 import sys
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse
 
 from .exceptions import ShapeError
 from .linalg import pairwise_sq_dists
@@ -48,34 +51,34 @@ DEGENERATE_DENOM = 1e-12
 
 @dataclass
 class AffinityGraph:
-    """Row-stochastic affinity graph in sparse row storage.
+    """Row-stochastic affinity graph.
 
-    ``rows[i]`` is a ``(columns, weights)`` pair with strictly positive
-    weights summing to one.  ``structured`` records whether source rows were
+    ``rows`` is an ``(n, n)`` ``scipy.sparse.csr_array`` in canonical format
+    (columns ascending within a row, no duplicates) with ``intp`` indices;
+    each row's weights sum to one.  The self-learned graphs store only
+    positive weights; a Gaussian kernel graph may also store weights that
+    underflowed to zero.  ``structured`` records whether source rows were
     built with the class-block / ``delta`` split.
     """
 
-    rows: list
-    n_samples: int
+    rows: scipy.sparse.csr_array
     n_source: int
     k: int
     delta: float
     structured: bool
 
+    @property
+    def n_samples(self):
+        return self.rows.shape[0]
+
     def edges(self):
         """Stored entries as flat ``(rows, columns, weights)`` arrays in row order."""
-        counts = [cols.size for cols, _ in self.rows]
-        rows = np.repeat(np.arange(len(self.rows)), counts)
-        cols = np.concatenate([cols for cols, _ in self.rows])
-        weights = np.concatenate([weights for _, weights in self.rows])
-        return rows, cols, weights
+        S = self.rows
+        return np.repeat(np.arange(S.shape[0]), np.diff(S.indptr)), S.indices, S.data
 
     def toarray(self):
         """Dense ``(n, n)`` matrix of the stored rows."""
-        S = np.zeros((self.n_samples, self.n_samples))
-        rows, cols, weights = self.edges()
-        S[rows, cols] = weights
-        return S
+        return self.rows.toarray()
 
 
 def affinity_cost(Z, F, beta, source_labels=None):
@@ -201,14 +204,13 @@ def _source_mass(src, delta):
     return np.where(np.isfinite(src).any(axis=1), float(delta), 0.0)
 
 
-def _block_entries(costs, k, mass):
+def _block_rows(costs, k, mass):
     """Nonzero weights of every row of a cost block, scaled by its row's mass.
 
     ``costs`` is a ``(rows, candidates)`` block (``+inf`` = excluded) and
     ``mass`` holds one mass per row.  Generic rows are computed together
     from :func:`_closed_form`; fallback rows go through
-    :func:`_block_weights`.  Returns unsorted ``(rows, columns, weights)``
-    arrays with block-local indices, each row's columns ascending.
+    :func:`_block_weights`.  Returns a CSR matrix of the block's shape.
     """
     boundary, denom = _closed_form(costs, k)
     batched = denom > DEGENERATE_DENOM
@@ -221,19 +223,8 @@ def _block_entries(costs, k, mass):
         parts.append((np.full(cands.size, i), cands, w))
     rows, cols, weights = (np.concatenate(p) for p in zip(*parts))
     keep = weights > 0.0
-    return rows[keep], cols[keep], weights[keep]
-
-
-def _split_rows(n_rows, rows, cols, weights):
-    """``(columns, weights)`` pairs per row from entries listed block by block.
-
-    Splitting at the ``n_rows`` running totals leaves one empty last piece,
-    which is dropped.
-    """
-    order = np.argsort(rows, kind="stable")
-    bounds = np.cumsum(np.bincount(rows, minlength=n_rows))
-    pieces = zip(np.split(cols[order], bounds), np.split(weights[order], bounds))
-    return list(pieces)[:n_rows]
+    entries = (weights[keep], (rows[keep], cols[keep]))
+    return scipy.sparse.coo_array(entries, shape=costs.shape).tocsr()
 
 
 def update_target_rows(A, k, n_source):
@@ -246,11 +237,11 @@ def update_target_rows(A, k, n_source):
 
     Returns
     -------
-    rows : list of (columns, weights) pairs, one per target sample.
+    rows : csr_array of shape (n - n_source, n)
+        One row per target sample, indexed by all ``n`` samples.
     """
     block = A[n_source:]
-    entries = _block_entries(block, k, np.ones(block.shape[0]))
-    return _split_rows(block.shape[0], *entries)
+    return _block_rows(block, k, np.ones(block.shape[0]))
 
 
 def update_source_rows(A, k, delta, source_labels):
@@ -267,19 +258,15 @@ def update_source_rows(A, k, delta, source_labels):
 
     Returns
     -------
-    rows : list of (columns, weights) pairs, one per source sample.
+    rows : csr_array of shape (n_source, n)
+        One row per source sample, indexed by all ``n`` samples.
     """
     n_s = np.asarray(source_labels).size
     src = A[:n_s, :n_s]
     src_mass = _source_mass(src, delta)
-    src_rows, src_cols, src_weights = _block_entries(src, k, src_mass)
-    tgt_rows, tgt_cols, tgt_weights = _block_entries(A[:n_s, n_s:], k, 1.0 - src_mass)
-    return _split_rows(
-        n_s,
-        np.concatenate([src_rows, tgt_rows]),
-        np.concatenate([src_cols, tgt_cols + n_s]),
-        np.concatenate([src_weights, tgt_weights]),
-    )
+    src_rows = _block_rows(src, k, src_mass)
+    tgt_rows = _block_rows(A[:n_s, n_s:], k, 1.0 - src_mass)
+    return scipy.sparse.hstack([src_rows, tgt_rows], format="csr")
 
 
 def build_graph(A, k, delta, source_labels, structured=True):
@@ -289,16 +276,15 @@ def build_graph(A, k, delta, source_labels, structured=True):
     split and target rows the plain update.  With ``structured=False`` every
     row is treated like a target row (unit mass over all finite candidates).
     """
-    n = A.shape[0]
     n_s = np.asarray(source_labels).size if source_labels is not None else 0
     if structured:
-        rows = update_source_rows(A, k, delta, source_labels)
-        rows += update_target_rows(A, k, n_s)
+        src_rows = update_source_rows(A, k, delta, source_labels)
+        tgt_rows = update_target_rows(A, k, n_s)
+        rows = scipy.sparse.vstack([src_rows, tgt_rows], format="csr")
     else:
         rows = update_target_rows(A, k, 0)
     return AffinityGraph(
         rows=rows,
-        n_samples=n,
         n_source=n_s,
         k=k,
         delta=delta,
@@ -331,9 +317,10 @@ def gaussian_knn_graph(Z, k, n_source, width=1.0):
     vanished = total <= 0.0
     weights /= np.where(vanished, 1.0, total)[:, None]
     weights[vanished] = 1.0 / k_eff
+    indptr = np.arange(0, n * k_eff + 1, k_eff)
+    rows = scipy.sparse.csr_array((weights.ravel(), cols.ravel(), indptr), shape=(n, n))
     return AffinityGraph(
-        rows=list(zip(cols, weights)),
-        n_samples=n,
+        rows=rows,
         n_source=n_source,
         k=k_eff,
         delta=0.0,
@@ -347,7 +334,7 @@ def laplacian(graph):
     Parameters
     ----------
     graph : AffinityGraph or ndarray
-        Row-stochastic affinity matrix (sparse rows or dense).
+        Row-stochastic affinity matrix (a graph's CSR rows or dense).
 
     Returns
     -------
@@ -358,14 +345,13 @@ def laplacian(graph):
         divide by ``numpy.linalg.norm(L, 'fro')``.
     """
     if isinstance(graph, AffinityGraph):
-        # S[i, j] + S[j, i] straight from the edges, without a dense S.
-        rows, cols, weights = graph.edges()
-        W = np.zeros((graph.n_samples, graph.n_samples))
-        W[rows, cols] = weights
-        W[cols, rows] += weights
+        S = graph.rows
     else:
         S = np.asarray(graph, dtype=float)
-        W = S + S.T
+    # A sparse S + S.T is densified once, without a dense S.
+    W = S + S.T
+    if scipy.sparse.issparse(W):
+        W = W.toarray()
     W /= 2.0
     L = 0.0 - W
     L[np.diag_indices_from(L)] += W.sum(axis=1)
@@ -404,15 +390,14 @@ def quadratic_charge(A, graph):
 def write_edges(graph, sink=None):
     """Write ``i j w`` triples sorted by ``(i, j)`` with 12-digit weights.
 
-    ``sink`` is a writable text stream or a path; defaults to stdout.
+    ``sink`` is a writable text stream or a path; defaults to stdout.  The
+    canonical CSR rows are already sorted.
     """
     if sink is None:
         sink = sys.stdout
-    if isinstance(sink, (str, bytes)):
+    if isinstance(sink, (str, bytes, os.PathLike)):
         with open(sink, "w") as fh:
             write_edges(graph, fh)
             return
-    for i, (cols, weights) in enumerate(graph.rows):
-        order = np.argsort(cols, kind="stable")
-        for j, w in zip(cols[order], weights[order]):
-            sink.write(f"{i} {j} {w:.12g}\n")
+    for i, j, w in zip(*(a.tolist() for a in graph.edges())):
+        sink.write(f"{i} {j} {w:.12g}\n")

@@ -209,6 +209,14 @@ def oracle_graph_row(cost_row, i, n_source, k, delta, structured):
     return out
 
 
+def csr_rows(S):
+    """``(columns, weights)`` of every row of a CSR matrix, as array views."""
+    return [
+        (S.indices[start:stop], S.data[start:stop])
+        for start, stop in zip(S.indptr[:-1], S.indptr[1:])
+    ]
+
+
 def rowwise_graph_rows(A, k, delta, source_labels, structured=True):
     """Row-by-row graph step: one :func:`_block_weights` call per row block.
 
@@ -256,7 +264,7 @@ def rowwise_quadratic_charge(A, graph):
     k = graph.k
     n_s = graph.n_source if graph.structured else 0
     total = 0.0
-    for i, (cols, weights) in enumerate(graph.rows):
+    for i, (cols, weights) in enumerate(csr_rows(graph.rows)):
         if i < n_s:
             src_cands = np.flatnonzero(np.isfinite(A[i, :n_s]))
             src_mass = graph.delta if src_cands.size else 0.0

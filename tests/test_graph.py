@@ -1,10 +1,12 @@
 """Adaptive graph construction: costs, closed-form rows, Laplacian."""
 
 import io
+from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
 import pytest
+import scipy.sparse
 
 import crossprop as cp
 from crossprop.exceptions import ShapeError
@@ -12,6 +14,7 @@ from crossprop.graph import block_multiplier, quadratic_charge
 
 from conftest import (
     check_structured_graph,
+    csr_rows,
     graph_row_objective,
     make_dataset,
     naive_pairwise_sq,
@@ -58,7 +61,7 @@ class TestTargetRowUpdate:
         A = np.full((5, 5), np.inf)
         A[4, :4] = [1.0, 2.0, 3.0, 100.0]
         rows = cp.update_target_rows(A, k=2, n_source=4)
-        cols, weights = rows[0]
+        cols, weights = csr_rows(rows)[0]
         npt.assert_array_equal(cols, [0, 1])
         npt.assert_allclose(weights, [2.0 / 3.0, 1.0 / 3.0])
 
@@ -66,7 +69,7 @@ class TestTargetRowUpdate:
         A = np.full((5, 5), np.inf)
         A[4, :4] = [5.0, 5.0, 5.0, 5.0]
         rows = cp.update_target_rows(A, k=3, n_source=4)
-        cols, weights = rows[0]
+        cols, weights = csr_rows(rows)[0]
         npt.assert_array_equal(cols, [0, 1, 2])
         npt.assert_allclose(weights, [1.0 / 3.0] * 3)
 
@@ -77,7 +80,7 @@ class TestTargetRowUpdate:
             A = np.full((13, 13), np.inf)
             A[12, :12] = costs
             rows = cp.update_target_rows(A, k=k, n_source=12)
-            cols, weights = rows[0]
+            cols, weights = csr_rows(rows)[0]
             dense = np.zeros(13)
             dense[cols] = weights
             oracle = cp.simplex_qp_oracle(costs, 1.0, k)
@@ -87,7 +90,7 @@ class TestTargetRowUpdate:
         A = np.full((10, 10), np.inf)
         A[9, :9] = rng.random(9)
         rows = cp.update_target_rows(A, k=4, n_source=9)
-        cols, weights = rows[0]
+        cols, weights = csr_rows(rows)[0]
         assert cols.size == 4
         assert weights.sum() == pytest.approx(1.0, abs=1e-12)
 
@@ -101,7 +104,8 @@ class TestTargetRowUpdate:
             def weight_of(c, j=j):
                 A = np.full((13, 13), np.inf)
                 A[12, :12] = c
-                cols, weights = cp.update_target_rows(A, k=k, n_source=12)[0]
+                rows = cp.update_target_rows(A, k=k, n_source=12)
+                cols, weights = csr_rows(rows)[0]
                 dense = np.zeros(12)
                 dense[cols[cols < 12]] = weights[cols < 12]
                 return dense[j]
@@ -124,7 +128,7 @@ class TestSourceRowUpdate:
         labels = np.array([0, 0, 0, 1, 1, 1])
         A = self._cost(rng, labels, 4)
         rows = cp.update_source_rows(A, k=2, delta=1.0, source_labels=labels)
-        for i, (cols, weights) in enumerate(rows):
+        for i, (cols, weights) in enumerate(csr_rows(rows)):
             assert np.all(cols < 6)
             assert weights.sum() == pytest.approx(1.0, abs=1e-12)
             assert np.all(labels[cols] == labels[i])
@@ -133,7 +137,7 @@ class TestSourceRowUpdate:
         labels = np.array([0, 0, 0, 1, 1, 1])
         A = self._cost(rng, labels, 4)
         rows = cp.update_source_rows(A, k=2, delta=0.0, source_labels=labels)
-        for cols, weights in rows:
+        for cols, weights in csr_rows(rows):
             assert np.all(cols >= 6)
             assert weights.sum() == pytest.approx(1.0, abs=1e-12)
 
@@ -143,7 +147,7 @@ class TestSourceRowUpdate:
         A = self._cost(rng, labels, 15)
         rows = cp.update_source_rows(A, k=k, delta=delta, source_labels=labels)
         n_s = labels.size
-        for i, (cols, weights) in enumerate(rows):
+        for i, (cols, weights) in enumerate(csr_rows(rows)):
             dense = np.zeros(A.shape[0])
             dense[cols] = weights
             expected = oracle_graph_row(A[i], i, n_s, k, delta, structured=True)
@@ -153,7 +157,7 @@ class TestSourceRowUpdate:
         labels = np.array([0, 1, 1, 1])
         A = self._cost(rng, labels, 3)
         rows = cp.update_source_rows(A, k=2, delta=0.8, source_labels=labels)
-        cols, weights = rows[0]
+        cols, weights = csr_rows(rows)[0]
         assert np.all(cols >= 4)
         assert weights.sum() == pytest.approx(1.0, abs=1e-12)
 
@@ -225,7 +229,7 @@ class TestGaussianKnnGraph:
     def test_closer_neighbors_get_larger_weight(self):
         Z = np.array([[0.0, 1.0, 3.0, 10.0]])
         graph = cp.gaussian_knn_graph(Z, 2, n_source=0)
-        cols, weights = graph.rows[0]
+        cols, weights = csr_rows(graph.rows)[0]
         npt.assert_array_equal(cols, [1, 2])
         assert weights[0] > weights[1]
 
@@ -298,13 +302,12 @@ class TestQuadraticCharge:
 
 class TestWriteEdges:
     def test_stream_output_sorted_and_formatted(self):
+        # Entries listed out of column order; the CSR rows come out sorted.
+        rows = np.array([0, 0, 1, 2, 2])
+        cols = np.array([2, 1, 0, 0, 1])
+        weights = np.array([0.25, 0.75, 1.0, 0.5, 0.5])
         graph = cp.AffinityGraph(
-            rows=[
-                (np.array([2, 1]), np.array([0.25, 0.75])),
-                (np.array([0]), np.array([1.0])),
-                (np.array([0, 1]), np.array([0.5, 0.5])),
-            ],
-            n_samples=3,
+            rows=scipy.sparse.coo_array((weights, (rows, cols)), shape=(3, 3)).tocsr(),
             n_source=1,
             k=2,
             delta=0.8,
@@ -315,13 +318,14 @@ class TestWriteEdges:
         lines = sink.getvalue().splitlines()
         assert lines == ["0 1 0.75", "0 2 0.25", "1 0 1", "2 0 0.5", "2 1 0.5"]
 
-    def test_path_output(self, rng, tmp_path):
+    @pytest.mark.parametrize("as_path", [str, Path], ids=["str", "Path"])
+    def test_path_output(self, rng, tmp_path, as_path):
         ds = make_dataset(rng)
         graph = cp.init_graph(ds.features, 3, 0.8, ds.source_labels)
         path = tmp_path / "edges.txt"
-        cp.write_edges(graph, str(path))
+        cp.write_edges(graph, as_path(path))
         lines = path.read_text().splitlines()
-        assert len(lines) == sum(cols.size for cols, _ in graph.rows)
+        assert len(lines) == graph.rows.nnz
         first = lines[0].split()
         assert len(first) == 3
         float(first[2])

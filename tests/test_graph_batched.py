@@ -8,13 +8,14 @@ no larger than ``k`` appear as well.
 
 import numpy as np
 import pytest
+import scipy.sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import crossprop as cp
 from crossprop.graph import quadratic_charge
 
-from conftest import rowwise_graph_rows, rowwise_quadratic_charge
+from conftest import csr_rows, rowwise_graph_rows, rowwise_quadratic_charge
 
 
 @st.composite
@@ -35,9 +36,15 @@ def graph_problems(draw):
     return A, k, delta, labels, structured
 
 
-def assert_rows_equal(got, expected):
-    assert len(got) == len(expected)
-    for (cols, weights), (ref_cols, ref_weights) in zip(got, expected):
+def assert_rows_equal(graph, expected):
+    n = len(expected)
+    S = graph.rows
+    assert isinstance(S, scipy.sparse.csr_array)
+    assert S.shape == (n, n)
+    assert S.has_canonical_format
+    assert S.indices.dtype == S.indptr.dtype == np.intp
+    assert graph.n_samples == n
+    for (cols, weights), (ref_cols, ref_weights) in zip(csr_rows(S), expected):
         assert cols.dtype == ref_cols.dtype
         np.testing.assert_array_equal(cols, ref_cols, strict=True)
         np.testing.assert_array_equal(weights, ref_weights, strict=True)
@@ -49,7 +56,7 @@ def test_batched_rows_equal_rowwise_rows(problem):
     A, k, delta, labels, structured = problem
     graph = cp.build_graph(A, k, delta, labels, structured=structured)
     expected = rowwise_graph_rows(A, k, delta, labels, structured=structured)
-    assert_rows_equal(graph.rows, expected)
+    assert_rows_equal(graph, expected)
 
 
 @settings(max_examples=300, deadline=None)
@@ -71,7 +78,7 @@ def test_batched_rows_equal_rowwise_rows_on_real_costs(problem, seed):
     A[finite] = np.random.default_rng(seed).random(int(finite.sum()))
     graph = cp.build_graph(A, k, delta, labels, structured=structured)
     expected = rowwise_graph_rows(A, k, delta, labels, structured=structured)
-    assert_rows_equal(graph.rows, expected)
+    assert_rows_equal(graph, expected)
     assert quadratic_charge(A, graph) == pytest.approx(
         rowwise_quadratic_charge(A, graph), rel=1e-12, abs=0.0
     )
@@ -105,4 +112,4 @@ def test_gaussian_knn_rows_equal_rowwise_rows(problem):
         else:
             weights = weights / total
         expected.append((cols, weights))
-    assert_rows_equal(graph.rows, expected)
+    assert_rows_equal(graph, expected)
