@@ -41,12 +41,19 @@ from .graph import (
     gaussian_knn_graph,
     init_graph,
     laplacian,
+    sparse_laplacian,
     update_source_rows,
     update_target_rows,
     write_edges,
 )
 from .linalg import EigenPair, pairwise_sq_dists, solve_spd_linear, solve_sym_definite_geig
-from .mmd import combined_mmd, conditional_mmd, discrepancy_matrix, marginal_mmd
+from .mmd import (
+    combined_mmd,
+    conditional_mmd,
+    discrepancy_factor,
+    discrepancy_matrix,
+    marginal_mmd,
+)
 from .propagation import decide_labels, harmonic_solve
 from .solver import FitReport, FitState, fit, objective, solve_projection
 
@@ -73,6 +80,7 @@ __all__ = [
     "affinity_cost",
     "build_graph",
     "combined_mmd",
+    "discrepancy_factor",
     "discrepancy_matrix",
     "conditional_mmd",
     "decide_labels",
@@ -92,6 +100,7 @@ __all__ = [
     "solve_projection",
     "solve_spd_linear",
     "solve_sym_definite_geig",
+    "sparse_laplacian",
     "update_source_rows",
     "update_target_rows",
     "with_labeled_targets",

@@ -32,8 +32,9 @@ one by one.  The multipliers ``lam`` of :func:`quadratic_charge` and
 :func:`block_multiplier` come from the same helper.
 
 A graph is stored as one ``scipy.sparse.csr_array`` from the graph step to
-the CLI; a dense matrix is materialized only for Laplacian assembly and
-inspection.
+the CLI.  The solver's Laplacian is a ``csr_array`` too
+(:func:`sparse_laplacian`); the dense :func:`laplacian` and
+:meth:`AffinityGraph.toarray` are kept for inspection and tests.
 """
 
 import os
@@ -356,6 +357,19 @@ def laplacian(graph):
     L = 0.0 - W
     L[np.diag_indices_from(L)] += W.sum(axis=1)
     return W, L
+
+
+def sparse_laplacian(graph):
+    """Laplacian of :func:`laplacian` as a ``csr_array``, straight from the graph's rows.
+
+    ``W = (S + S.T) / 2`` stays sparse, so ``L = diag(W @ 1) - W`` stores
+    only the diagonal and the graph's symmetrized edges (about ``2 n k``
+    entries) and never forms an ``n x n`` array.  Entries equal those of the
+    dense Laplacian up to the rounding of the degree sums.
+    """
+    W = graph.rows + graph.rows.T
+    W.data /= 2.0
+    return scipy.sparse.diags_array(W.sum(axis=1), format="csr") - W
 
 
 def quadratic_charge(A, graph):

@@ -6,12 +6,23 @@ sample matrix ``Z`` with samples as columns, i.e. it turns the empirical
 maximum mean discrepancy between domains into a quadratic form.  The
 class-conditional matrix does the same per class, using pseudo-labels on the
 target side.  All constructors return symmetric positive semi-definite
-matrices with zero row sums.
+matrices with zero row sums.  :func:`discrepancy_factor` gives the combined
+matrix as an ``n x r`` factor (``r <= C + 1``) for callers that only need
+``X M X.T``.
 """
 
 import numpy as np
 
 from .exceptions import ArgumentError, LabelError, ShapeError
+
+
+def _marginal_vector(n_source, n_target):
+    """Indicator ``e`` with ``M0 = outer(e, e)``: ``1/n_s`` on source, ``-1/n_t`` on target."""
+    if n_source < 1 or n_target < 1:
+        raise ArgumentError("marginal_mmd needs at least one sample per domain")
+    return np.concatenate(
+        [np.full(n_source, 1.0 / n_source), np.full(n_target, -1.0 / n_target)]
+    )
 
 
 def marginal_mmd(n_source, n_target):
@@ -20,11 +31,7 @@ def marginal_mmd(n_source, n_target):
     Entries are ``1/n_s^2`` on the source block, ``1/n_t^2`` on the target
     block and ``-1/(n_s * n_t)`` on the cross blocks.
     """
-    if n_source < 1 or n_target < 1:
-        raise ArgumentError("marginal_mmd needs at least one sample per domain")
-    e = np.concatenate(
-        [np.full(n_source, 1.0 / n_source), np.full(n_target, -1.0 / n_target)]
-    )
+    e = _marginal_vector(n_source, n_target)
     return np.outer(e, e)
 
 
@@ -58,13 +65,12 @@ def conditional_mmd(source_labels, target_pseudo_labels, n_classes):
     )
 
 
-def _add_class_blocks(M, source_labels, target_pseudo_labels, n_classes):
-    """Add every class's conditional outer product to ``M`` in place; return ``M``.
+def _class_vectors(source_labels, target_pseudo_labels, n_classes):
+    """``(members, e)`` of every class present in both domains, in class order.
 
-    A class indicator vector is zero outside its class's members, and the
-    classes partition the samples, so each outer product is added only on its
-    own rows and columns: every entry of ``M`` receives at most one term, the
-    same sum as adding the full ``n x n`` products one after another.
+    ``members`` indexes the class's samples (source first, target offset by
+    ``n_s``) and ``e`` holds their indicator entries, ``1/a`` on the ``a``
+    source members and ``-1/b`` on the ``b`` target members.
     """
     for labels in (source_labels, target_pseudo_labels):
         if labels.size and (labels.min() < 0 or labels.max() >= n_classes):
@@ -79,6 +85,18 @@ def _add_class_blocks(M, source_labels, target_pseudo_labels, n_classes):
         e = np.concatenate(
             [np.full(src.size, 1.0 / src.size), np.full(tgt.size, -1.0 / tgt.size)]
         )
+        yield members, e
+
+
+def _add_class_blocks(M, source_labels, target_pseudo_labels, n_classes):
+    """Add every class's conditional outer product to ``M`` in place; return ``M``.
+
+    A class indicator vector is zero outside its class's members, and the
+    classes partition the samples, so each outer product is added only on its
+    own rows and columns: every entry of ``M`` receives at most one term, the
+    same sum as adding the full ``n x n`` products one after another.
+    """
+    for members, e in _class_vectors(source_labels, target_pseudo_labels, n_classes):
         M[np.ix_(members, members)] += np.outer(e, e)
     return M
 
@@ -115,3 +133,31 @@ def discrepancy_matrix(source_labels, target_pseudo_labels, n_classes):
     M = marginal_mmd(source_labels.size, target_pseudo_labels.size)
     _add_class_blocks(M, source_labels, target_pseudo_labels, n_classes)
     return _scale_to_unit_norm(M)
+
+
+def discrepancy_factor(source_labels, target_pseudo_labels, n_classes):
+    """Factor ``E`` of shape ``(n, r)`` with ``E @ E.T`` equal to :func:`discrepancy_matrix`.
+
+    The combined matrix is a sum of ``r <= C + 1`` outer products, the
+    marginal indicator and one per class present in both domains, so ``E``
+    holds those vectors as columns.  Its scale comes from the ``r x r`` Gram,
+    ``||E E.T||_F = ||E.T E||_F``, so no ``n x n`` array is formed.  Every
+    column sums to zero, so with one source and one target sample all
+    columns are multiples of ``(1, -1)`` and are folded into one; hence
+    ``r < n`` always, which is how the solver tells a factor from ``M``.
+    """
+    source_labels = np.asarray(source_labels, dtype=int)
+    target_pseudo_labels = np.asarray(target_pseudo_labels, dtype=int)
+    columns = [_marginal_vector(source_labels.size, target_pseudo_labels.size)]
+    n = columns[0].size
+    for members, e in _class_vectors(source_labels, target_pseudo_labels, n_classes):
+        column = np.zeros(n)
+        column[members] = e
+        columns.append(column)
+    E = np.column_stack(columns)
+    if E.shape[1] >= n:
+        E = np.linalg.norm(E, axis=1, keepdims=True) * np.sign(E[:, :1])
+    norm = np.linalg.norm(E.T @ E, "fro")
+    if norm > 0.0:
+        E /= np.sqrt(norm)
+    return E

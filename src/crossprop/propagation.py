@@ -16,9 +16,15 @@ zero, so their rows come out exactly zero, and the argmax decision maps them
 to class zero without notice.  On the 3000-sample synthetic shift with
 ``k = 20`` (generator seed 0), 416 of 1500 target rows end this way at the
 fourth iteration, with no ridge repair.
+
+The Laplacian may be a dense array or a scipy sparse array; the solver
+passes a ``csr_array``.  A sparse Laplacian is densified only in its
+free-free block, because the dense Cholesky is what tolerates the singular
+``L_ff`` of unreachable rows, where a sparse LU would fail.
 """
 
 import numpy as np
+import scipy.sparse
 
 from .linalg import solve_spd_linear
 
@@ -28,8 +34,9 @@ def harmonic_solve(L, clamped):
 
     Parameters
     ----------
-    L : ndarray of shape (n, n)
-        Graph Laplacian (symmetrized, unscaled).
+    L : ndarray or scipy sparse array of shape (n, n)
+        Graph Laplacian (symmetrized, unscaled).  A sparse ``L`` is
+        densified only in its free-free block.
     clamped : ndarray of shape (n_clamped, C)
         Fixed label rows of the first ``n_clamped`` samples.
 
@@ -38,10 +45,14 @@ def harmonic_solve(L, clamped):
     F_free : ndarray of shape (n - n_clamped, C)
         Soft labels of the free samples.
     """
-    L = np.asarray(L, dtype=float)
     clamped = np.asarray(clamped, dtype=float)
     n_clamped = clamped.shape[0]
-    L_ff = L[n_clamped:, n_clamped:]
+    if scipy.sparse.issparse(L):
+        L = scipy.sparse.csr_array(L)
+        L_ff = L[n_clamped:, n_clamped:].toarray()
+    else:
+        L = np.asarray(L, dtype=float)
+        L_ff = L[n_clamped:, n_clamped:]
     L_fc = L[n_clamped:, :n_clamped]
     return solve_spd_linear(L_ff, -L_fc @ clamped)
 

@@ -11,7 +11,14 @@ Each outer iteration alternates three exact subproblem solutions:
        (X M X.T + alpha * X L X.T + gamma * I) P = X H X.T P Theta,
 
    where ``H`` is the centering matrix, so ``P.T X H X.T P = I`` keeps the
-   projected total scatter fixed.
+   projected total scatter fixed.  The fit never forms an ``n x n`` ``M`` or
+   ``L``: ``M = E E.T`` enters through its ``n x r`` factor ``E``
+   (``r <= C + 1``, :func:`crossprop.mmd.discrepancy_factor`), so
+   ``X M X.T = (X E)(X E).T``; ``L`` is a ``csr_array`` with about ``2 n k``
+   entries (:func:`crossprop.graph.sparse_laplacian`), applied as
+   ``X (L X.T)``; and the scatter ``X H X.T`` is computed once per fit.
+   :func:`solve_projection` and :func:`objective` also accept a dense ``M``
+   and a dense ``L``.
 
 2. **Graph step.**  Row-wise closed-form updates of the affinity graph from
    the cost matrix ``||z_i - z_j||^2 + beta * ||F_i - F_j||^2`` (see
@@ -37,6 +44,8 @@ The loop stops early once the fraction of changed pseudo-labels drops below
 ``1e-3`` or the relative objective change drops below ``1e-5``.
 """
 
+import threading
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -48,11 +57,11 @@ from .graph import (
     build_graph,
     gaussian_knn_graph,
     init_graph,
-    laplacian,
     quadratic_charge,
+    sparse_laplacian,
 )
 from .linalg import solve_sym_definite_geig
-from .mmd import discrepancy_matrix
+from .mmd import discrepancy_factor
 from .propagation import decide_labels, harmonic_solve
 
 LABEL_CHANGE_TOL = 1e-3
@@ -104,6 +113,38 @@ def centered_gram(X):
     return Xc @ Xc.T
 
 
+# ``(X, centered_gram(X))`` of the data matrix that this thread's fit runs on.
+_fit_scatter = threading.local()
+
+
+@contextmanager
+def _scatter_held(X):
+    """Compute ``centered_gram(X)`` once and let :func:`solve_projection` reuse it."""
+    previous = getattr(_fit_scatter, "held", None)
+    _fit_scatter.held = (X, centered_gram(X))
+    try:
+        yield
+    finally:
+        _fit_scatter.held = previous
+
+
+def _scatter(X):
+    """``centered_gram(X)``, taken from the running fit when it holds this ``X``."""
+    held = getattr(_fit_scatter, "held", None)
+    if held is not None and held[0] is X:
+        return held[1]
+    return centered_gram(X)
+
+
+def _discrepancy_form(Y, M):
+    """``Y @ M @ Y.T`` from a dense ``(n, n)`` ``M`` or its ``(n, r)`` factor, ``r < n``."""
+    M = np.asarray(M, dtype=float)
+    if M.shape[0] == M.shape[1]:
+        return Y @ M @ Y.T
+    YE = Y @ M
+    return YE @ YE.T
+
+
 def solve_projection(X, M, L, alpha, gamma, d):
     """Projection matrix from the generalized eigenproblem above.
 
@@ -111,10 +152,13 @@ def solve_projection(X, M, L, alpha, gamma, d):
     ----------
     X : ndarray of shape (m, n)
         All samples as columns.
-    M : ndarray of shape (n, n)
-        Domain-discrepancy coefficient matrix.
-    L : ndarray of shape (n, n) or None
-        Graph Laplacian contribution; ``None`` drops the graph term.
+    M : ndarray of shape (n, n) or (n, r) with r < n
+        Domain-discrepancy coefficient matrix, or a factor ``E`` with
+        ``M = E @ E.T`` such as :func:`crossprop.mmd.discrepancy_factor`
+        returns.  A square array is read as ``M`` itself.
+    L : ndarray or scipy sparse array of shape (n, n), or None
+        Graph Laplacian contribution, applied as ``X @ (L @ X.T)``; ``None``
+        drops the graph term.
     alpha, gamma : float
         Graph and ridge regularization weights.
     d : int
@@ -127,11 +171,11 @@ def solve_projection(X, M, L, alpha, gamma, d):
         normalized so ``P.T @ X H X.T @ P = I``.
     """
     m = X.shape[0]
-    left = X @ M @ X.T
+    left = _discrepancy_form(X, M)
     if L is not None:
-        left = left + alpha * (X @ L @ X.T)
-    left = left + gamma * np.eye(m)
-    return solve_sym_definite_geig(left, centered_gram(X), d).vectors
+        left += alpha * (X @ (L @ X.T))
+    left[np.diag_indices(m)] += gamma
+    return solve_sym_definite_geig(left, _scatter(X), d).vectors
 
 
 def _edge_energy(Y, rows, cols, weights):
@@ -141,8 +185,8 @@ def _edge_energy(Y, rows, cols, weights):
 
 
 def _graph_scale(L):
-    """Frobenius norm of a Laplacian, or one for an empty graph."""
-    scale = np.linalg.norm(L, "fro")
+    """Frobenius norm of a sparse Laplacian's stored values, or one for an empty graph."""
+    scale = np.linalg.norm(L.data)
     return scale if scale > 0.0 else 1.0
 
 
@@ -161,6 +205,9 @@ def objective(
 ):
     """Joint objective value at the given state (see module docstring).
 
+    ``M`` is the dense ``(n, n)`` discrepancy matrix or its ``(n, r)``
+    factor (``r < n``), as for :func:`solve_projection`; the graph enters
+    only through its edges, so no Laplacian is needed.
     ``graph_scale`` divides the graph-coupled terms; the fit loop passes the
     Frobenius norm of the iteration's Laplacian so the monitored value
     matches the normalized Laplacian the projection step saw.  The row
@@ -181,8 +228,7 @@ def objective(
             Z, F, beta, source_labels if graph.structured else None
         )
     charge = quadratic_charge(cost_matrix, graph)
-    ZM = Z @ M
-    discrepancy = float(np.sum(ZM * Z))
+    discrepancy = float(np.trace(_discrepancy_form(Z, M)))
     return (
         discrepancy
         + (alpha * (graph_energy + charge) / 2.0 + beta * label_energy / 2.0)
@@ -237,7 +283,12 @@ def fit(dataset, params=None, log_sink=None, on_iteration=None):
     if params is None:
         params = HyperParams()
     d = _validate(dataset, params)
+    with _scatter_held(dataset.features):
+        return _alternate(dataset, params, d, log_sink, on_iteration)
 
+
+def _alternate(dataset, params, d, log_sink, on_iteration):
+    """The iterations of :func:`fit` on validated input."""
     X = dataset.features
     n_s = dataset.n_source
     n_l = dataset.n_labeled_target
@@ -254,7 +305,7 @@ def fit(dataset, params=None, log_sink=None, on_iteration=None):
         graph = gaussian_knn_graph(X, params.k, n_s)
     else:
         graph = init_graph(X, params.k, params.delta, y_s, structured=structured)
-    _, L = laplacian(graph)
+    L = sparse_laplacian(graph)
     scale = _graph_scale(L)
     F_free = harmonic_solve(L, clamp)
     F = np.vstack([clamp, F_free])
@@ -276,7 +327,7 @@ def fit(dataset, params=None, log_sink=None, on_iteration=None):
     prev_objective = None
     for t in range(1, params.iterations + 1):
         target_estimates = np.concatenate([dataset.labeled_target_labels, pseudo])
-        M = discrepancy_matrix(y_s, target_estimates, C)
+        M = discrepancy_factor(y_s, target_estimates, C)
 
         if params.ablation == "sp":
             P = solve_projection(X, M, None, params.alpha, params.gamma, d)
@@ -284,7 +335,7 @@ def fit(dataset, params=None, log_sink=None, on_iteration=None):
             graph = gaussian_knn_graph(Z, params.k, n_s)
             cost = None
         else:
-            L /= scale  # the projection is this Laplacian's last use
+            L.data /= scale  # the projection is this Laplacian's last use
             P = solve_projection(X, M, L, params.alpha, params.gamma, d)
             Z = P.T @ X
             cost = affinity_cost(Z, F, cost_beta, y_s if structured else None)
@@ -292,7 +343,7 @@ def fit(dataset, params=None, log_sink=None, on_iteration=None):
                 cost, params.k, params.delta, y_s, structured=structured
             )
 
-        _, L = laplacian(graph)
+        L = sparse_laplacian(graph)
         scale = _graph_scale(L)
         F_free = harmonic_solve(L, clamp)
         F = np.vstack([clamp, F_free])
