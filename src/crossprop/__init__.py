@@ -36,6 +36,7 @@ from .exceptions import (
 )
 from .graph import (
     AffinityGraph,
+    RowBlockCost,
     affinity_cost,
     build_graph,
     gaussian_knn_graph,
@@ -73,6 +74,7 @@ __all__ = [
     "HyperParams",
     "LabelError",
     "ParseError",
+    "RowBlockCost",
     "ShapeError",
     "SingularMatrix",
     "SingularPencil",

@@ -11,7 +11,7 @@ import numpy as np
 
 from .exceptions import ArgumentError, ConvergenceError, ShapeError
 from .graph import block_multiplier
-from .linalg import pairwise_sq_dists
+from .linalg import block_rows, sq_dist_operand, sq_dists_into
 
 QP_MAX_ITER = 10_000
 QP_TOL = 1e-8
@@ -44,10 +44,18 @@ def nearest_neighbor(train_features, train_labels, test_features):
         raise ShapeError("at least one training sample is required")
     if train_features.shape[0] != test_features.shape[0]:
         raise ShapeError("train and test features must share the feature dimension")
-    Z = np.hstack([train_features, test_features])
-    p = train_labels.size
-    D = pairwise_sq_dists(Z)[p:, :p]
-    return train_labels[np.argmin(D, axis=1)]
+    # Only the test x train distances, a block of test rows at a time.
+    train = sq_dist_operand(train_features)
+    test = sq_dist_operand(test_features)
+    p, q = train.shape[1], test.shape[1]
+    step = block_rows(p)
+    out = np.empty((min(step, q), p))
+    nearest = np.empty(q, dtype=np.intp)
+    for start in range(0, q, step):
+        stop = min(start + step, q)
+        D = sq_dists_into(out[: stop - start], test[:, start:stop], train)
+        nearest[start:stop] = np.argmin(D, axis=1)
+    return train_labels[nearest]
 
 
 def project_simplex(v, mass=1.0):

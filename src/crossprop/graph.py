@@ -21,15 +21,28 @@ involved.  Rows fall into two regimes:
   remaining ``1 - delta`` share to target neighbours.
 
 Every row needs only its ``k + 1`` smallest block costs, so the updates work
-on whole cost blocks at once: :func:`_closed_form` takes one ``np.partition``
-per block and sorts only the ``k + 1`` kept values of each row, giving every
-row's boundary ``a[k]`` and denominator.  A generic row's nonzero weights are
-then ``(a[k] - c) / denom`` wherever ``c < a[k]``, the same arithmetic as
-:func:`_block_weights`.  Only the fallback rows (at most one finite
-candidate, ``k`` at least the finite count, or a degenerate denominator,
-where ties need the stable column order) go through :func:`_block_weights`
-one by one.  The multipliers ``lam`` of :func:`quadratic_charge` and
-:func:`block_multiplier` come from the same helper.
+on blocks of rows at once: :func:`_closed_form` takes one ``np.partition``
+per cost block and sorts only the ``k + 1`` kept values of each row, giving
+every row's boundary ``a[k]`` and denominator.  A generic row's nonzero
+weights are then ``(a[k] - c) / denom`` wherever ``c < a[k]``, the same
+arithmetic as :func:`_block_weights`.  Only the fallback rows (at most one
+finite candidate, ``k`` at least the finite count, or a degenerate
+denominator, where ties need the stable column order) go through
+:func:`_block_weights` one by one.  The multipliers ``lam`` of
+:func:`quadratic_charge` and :func:`block_multiplier` come from the same
+helper.
+
+The costs come in row blocks of about :data:`crossprop.linalg.BLOCK_BYTES`
+bytes, and no block spans both source and target rows.  :func:`build_graph`
+and :func:`quadratic_charge` accept a dense cost array (:func:`affinity_cost`)
+or a :class:`RowBlockCost`, which computes each block from the sample
+coordinates into one reused buffer; both go through the same per-block loop,
+:func:`_graph_step`.  The fit only uses :class:`RowBlockCost`, so it never
+builds an ``n x n`` cost matrix.  :func:`build_graph` leaves the row
+multipliers it computed in the :class:`RowBlockCost`, and
+:func:`quadratic_charge` reads them from there instead of running the closed
+form a second time.  :func:`gaussian_knn_graph` picks its neighbours from the
+same row blocks.
 
 A graph is stored as one ``scipy.sparse.csr_array`` from the graph step to
 the CLI.  The solver's Laplacian is a ``csr_array`` too
@@ -45,7 +58,7 @@ import numpy as np
 import scipy.sparse
 
 from .exceptions import ShapeError
-from .linalg import pairwise_sq_dists
+from .linalg import block_rows, pairwise_sq_dists, sq_dist_operand, sq_dists_into
 
 DEGENERATE_DENOM = 1e-12
 
@@ -82,8 +95,19 @@ class AffinityGraph:
         return self.rows.toarray()
 
 
+def _check_cost_inputs(n, F, source_labels):
+    if F is not None and np.asarray(F).shape[0] != n:
+        raise ShapeError("soft labels must have one row per sample")
+    if source_labels is not None and np.asarray(source_labels).size > n:
+        raise ShapeError("more source labels than samples")
+
+
 def affinity_cost(Z, F, beta, source_labels=None):
     """Pairwise cost matrix combining feature and soft-label distances.
+
+    The fit never builds this matrix; it reads the same costs a block of
+    rows at a time through :class:`RowBlockCost`.  This dense form is kept
+    for inspection and as the tests' reference.
 
     Parameters
     ----------
@@ -105,10 +129,7 @@ def affinity_cost(Z, F, beta, source_labels=None):
     """
     Z = np.asarray(Z, dtype=float)
     n = Z.shape[1]
-    if F is not None and np.asarray(F).shape[0] != n:
-        raise ShapeError("soft labels must have one row per sample")
-    if source_labels is not None and np.asarray(source_labels).size > n:
-        raise ShapeError("more source labels than samples")
+    _check_cost_inputs(n, F, source_labels)
     A = pairwise_sq_dists(Z)
     if F is not None and beta != 0.0:
         label_cost = pairwise_sq_dists(np.asarray(F, dtype=float).T)
@@ -121,6 +142,87 @@ def affinity_cost(Z, F, beta, source_labels=None):
         A[:n_s, :n_s][cross] = np.inf
     np.fill_diagonal(A, np.inf)
     return A
+
+
+class RowBlockCost:
+    """The cost matrix of :func:`affinity_cost`, served a block of rows at a time.
+
+    Only the sample coordinates are held.  :meth:`blocks` computes each
+    block of rows from them into one buffer of about
+    :data:`crossprop.linalg.BLOCK_BYTES` bytes that the whole pass reuses,
+    so no ``n x n`` array is built.  Entries are the same costs as
+    :func:`affinity_cost` up to rounding (exactly the same for integer
+    coordinates and soft labels).
+
+    :func:`build_graph` stores the row multipliers it computed in
+    ``multipliers``, keyed by ``(k, n_source, delta)``, and
+    :func:`quadratic_charge` reads them from there instead of running the
+    closed form again.
+    """
+
+    def __init__(self, Z, F, beta, source_labels=None):
+        n = np.shape(Z)[1]
+        _check_cost_inputs(n, F, source_labels)
+        self.shape = (n, n)
+        self._z = sq_dist_operand(Z)
+        self.beta = float(beta)
+        self._f = None
+        if F is not None and beta != 0.0:
+            self._f = sq_dist_operand(np.asarray(F, dtype=float).T)
+        self.source_labels = None
+        if source_labels is not None:
+            self.source_labels = np.asarray(source_labels, dtype=int)
+        self.multipliers = {}
+
+    def blocks(self, ranges):
+        """Yield ``(start, costs)`` for each ``(start, stop)`` row range.
+
+        ``costs`` is a view of the pass's buffer that the next block
+        overwrites.
+        """
+        most = max((stop - start for start, stop in ranges), default=0)
+        out = np.empty((most, self.shape[1]))
+        scratch = np.empty_like(out) if self._f is not None else None
+        for start, stop in ranges:
+            rows = stop - start
+            costs = sq_dists_into(out[:rows], self._z[:, start:stop], self._z)
+            if self._f is not None:
+                label_cost = sq_dists_into(scratch[:rows], self._f[:, start:stop], self._f)
+                label_cost *= self.beta
+                costs += label_cost
+            if self.source_labels is not None and start < self.source_labels.size:
+                labels = self.source_labels
+                src = costs[: labels.size - start, : labels.size]
+                src[labels[start:stop, None] != labels[None, :]] = np.inf
+            costs[np.arange(rows), np.arange(start, stop)] = np.inf
+            yield start, costs
+
+    def finite(self, rows, cols):
+        """Whether the costs at ``(rows, cols)`` are finite: off the diagonal, not masked."""
+        ok = rows != cols
+        labels = self.source_labels
+        if labels is not None:
+            src = (rows < labels.size) & (cols < labels.size)
+            ok[src] &= labels[rows[src]] == labels[cols[src]]
+        return ok
+
+
+def _cost_blocks(A, n_source):
+    """``(start, costs)`` row blocks of a dense cost array or a :class:`RowBlockCost`.
+
+    Blocks hold at most :func:`crossprop.linalg.block_rows` rows, and none
+    holds both rows below and rows from ``n_source`` on.
+    """
+    n_rows, n_cols = A.shape
+    step = block_rows(n_cols)
+    ranges = [
+        (start, min(start + step, stop))
+        for first, stop in ((0, n_source), (n_source, n_rows))
+        for start in range(first, stop, step)
+    ]
+    if isinstance(A, RowBlockCost):
+        return A.blocks(ranges)
+    return ((start, A[start:stop]) for start, stop in ranges)
 
 
 def _block_weights(costs, k):
@@ -205,15 +307,15 @@ def _source_mass(src, delta):
     return np.where(np.isfinite(src).any(axis=1), float(delta), 0.0)
 
 
-def _block_rows(costs, k, mass):
+def _block_rows(costs, k, mass, boundary, denom):
     """Nonzero weights of every row of a cost block, scaled by its row's mass.
 
-    ``costs`` is a ``(rows, candidates)`` block (``+inf`` = excluded) and
-    ``mass`` holds one mass per row.  Generic rows are computed together
-    from :func:`_closed_form`; fallback rows go through
-    :func:`_block_weights`.  Returns a CSR matrix of the block's shape.
+    ``costs`` is a ``(rows, candidates)`` block (``+inf`` = excluded),
+    ``mass`` holds one mass per row and ``boundary``, ``denom`` are the
+    block's :func:`_closed_form`.  Generic rows are computed together;
+    fallback rows go through :func:`_block_weights`.  Returns a CSR matrix
+    of the block's shape.
     """
-    boundary, denom = _closed_form(costs, k)
     batched = denom > DEGENERATE_DENOM
     rows, cols = np.nonzero(costs < np.where(batched, boundary, -np.inf)[:, None])
     weights = mass[rows] * ((boundary[rows] - costs[rows, cols]) / denom[rows])
@@ -228,21 +330,65 @@ def _block_rows(costs, k, mass):
     return scipy.sparse.coo_array(entries, shape=costs.shape).tocsr()
 
 
+def _graph_step(A, k, delta, n_source, build=True):
+    """The closed form of every row of ``A``, one row block at a time.
+
+    ``A`` is a dense cost array or a :class:`RowBlockCost` whose first
+    ``n_source`` rows are source rows with the class-block / ``delta``
+    split; the other rows spend unit mass over all their candidates.  Each
+    block of rows takes one :func:`_closed_form` call per candidate block.
+
+    Returns
+    -------
+    lam : ndarray of shape (rows, 2)
+        Row multipliers: ``lam[i, 0]`` charges the source block of a source
+        row or the whole row of any other row; ``lam[i, 1]`` charges the
+        target block of a source row.
+    rows : csr_array of A's shape, or None
+        The graph rows, built only when ``build`` is true.
+    """
+    lam = np.zeros((A.shape[0], 2))
+    parts = []
+    for start, costs in _cost_blocks(A, n_source):
+        stop = start + costs.shape[0]
+        if start < n_source:
+            src_mass = _source_mass(costs[:, :n_source], delta)
+            blocks = [
+                (costs[:, :n_source], src_mass),
+                (costs[:, n_source:], 1.0 - src_mass),
+            ]
+        else:
+            blocks = [(costs, np.ones(stop - start))]
+        pieces = []
+        for b, (block, mass) in enumerate(blocks):
+            boundary, denom = _closed_form(block, k)
+            lam[start:stop, b] = _multipliers(denom, mass)
+            if build:
+                pieces.append(_block_rows(block, k, mass, boundary, denom))
+        if build:
+            parts.append(scipy.sparse.hstack(pieces, format="csr"))
+    if not build:
+        return lam, None
+    if not parts:
+        return lam, scipy.sparse.csr_array(A.shape)
+    return lam, scipy.sparse.vstack(parts, format="csr")
+
+
 def update_target_rows(A, k, n_source):
     """Closed-form rows for the target samples.
 
     Each target row spends unit mass over all other samples (source and
-    target alike) with at most ``k`` nonzero weights.  The whole target
-    block ``A[n_source:]`` is solved with one :func:`_closed_form` call;
-    fallback rows take the scalar :func:`_block_weights` path.
+    target alike) with at most ``k`` nonzero weights.  The dense target
+    block ``A[n_source:]`` is solved a block of rows at a time, one
+    :func:`_closed_form` call per block; fallback rows take the scalar
+    :func:`_block_weights` path.
 
     Returns
     -------
     rows : csr_array of shape (n - n_source, n)
         One row per target sample, indexed by all ``n`` samples.
     """
-    block = A[n_source:]
-    return _block_rows(block, k, np.ones(block.shape[0]))
+    return _graph_step(A[n_source:], k, None, 0)[1]
 
 
 def update_source_rows(A, k, delta, source_labels):
@@ -253,9 +399,9 @@ def update_source_rows(A, k, delta, source_labels):
     sample itself); the target block receives mass ``1 - delta`` with at
     most ``k`` neighbours.  A source sample whose class has no other member
     puts its entire mass on the target block, keeping the row stochastic.
-    The source block ``A[:n_s, :n_s]`` and the target block
-    ``A[:n_s, n_s:]`` each take one :func:`_closed_form` call; fallback
-    rows take the scalar :func:`_block_weights` path.
+    Each block of the dense rows ``A[:n_s]`` takes one :func:`_closed_form`
+    call on its source columns and one on its target columns; fallback rows
+    take the scalar :func:`_block_weights` path.
 
     Returns
     -------
@@ -263,27 +409,27 @@ def update_source_rows(A, k, delta, source_labels):
         One row per source sample, indexed by all ``n`` samples.
     """
     n_s = np.asarray(source_labels).size
-    src = A[:n_s, :n_s]
-    src_mass = _source_mass(src, delta)
-    src_rows = _block_rows(src, k, src_mass)
-    tgt_rows = _block_rows(A[:n_s, n_s:], k, 1.0 - src_mass)
-    return scipy.sparse.hstack([src_rows, tgt_rows], format="csr")
+    return _graph_step(A[:n_s], k, delta, n_s)[1]
 
 
 def build_graph(A, k, delta, source_labels, structured=True):
     """Assemble an :class:`AffinityGraph` from a cost matrix.
+
+    ``A`` is a dense ``(n, n)`` cost array such as :func:`affinity_cost`
+    returns, or a :class:`RowBlockCost`; both are read through the same
+    loop over blocks of rows, so the fit never holds more than one block of
+    costs.  A :class:`RowBlockCost` keeps the row multipliers for
+    :func:`quadratic_charge`.
 
     With ``structured=True`` source rows use the class-block / ``delta``
     split and target rows the plain update.  With ``structured=False`` every
     row is treated like a target row (unit mass over all finite candidates).
     """
     n_s = np.asarray(source_labels).size if source_labels is not None else 0
-    if structured:
-        src_rows = update_source_rows(A, k, delta, source_labels)
-        tgt_rows = update_target_rows(A, k, n_s)
-        rows = scipy.sparse.vstack([src_rows, tgt_rows], format="csr")
-    else:
-        rows = update_target_rows(A, k, 0)
+    split = n_s if structured else 0
+    lam, rows = _graph_step(A, k, delta, split)
+    if isinstance(A, RowBlockCost):
+        A.multipliers[(k, split, delta)] = lam
     return AffinityGraph(
         rows=rows,
         n_source=n_s,
@@ -295,8 +441,24 @@ def build_graph(A, k, delta, source_labels, structured=True):
 
 def init_graph(X, k, delta, source_labels, structured=True):
     """Initial graph built from raw-feature distances only (no label term)."""
-    A = affinity_cost(X, None, 0.0, source_labels if structured else None)
+    A = RowBlockCost(X, None, 0.0, source_labels if structured else None)
     return build_graph(A, k, delta, source_labels, structured=structured)
+
+
+def _nearest(costs, k):
+    """Columns and costs of each row's ``k`` smallest costs, columns ascending.
+
+    A partition finds each row's ``k``-th smallest cost; of the columns at
+    or below it, a stable sort by cost keeps the first ``k``, so ties go to
+    the lower column exactly as in a stable argsort of the whole row.
+    """
+    kth = np.partition(costs, k - 1, axis=1)[:, k - 1 : k]
+    rows, cols = np.nonzero(costs <= kth)  # columns ascending within a row
+    order = np.lexsort((costs[rows, cols], rows))
+    first = np.searchsorted(rows[order], rows[order])
+    kept = np.sort(order[np.arange(order.size) - first < k])
+    rows, cols = rows[kept], cols[kept]
+    return cols.reshape(-1, k), costs[rows, cols].reshape(-1, k)
 
 
 def gaussian_knn_graph(Z, k, n_source, width=1.0):
@@ -304,16 +466,20 @@ def gaussian_knn_graph(Z, k, n_source, width=1.0):
 
     Weights are ``exp(-dist^2 / (2 * width^2))`` over each sample's ``k``
     nearest neighbours, normalized to unit row sums.  This is the
-    predefined-similarity alternative to the self-learned graph.  One
-    stable sort along the rows picks every row's neighbours, ties to the
-    lower column; a row whose kernel weights all underflow is uniform.
+    predefined-similarity alternative to the self-learned graph.  The
+    neighbours are picked from row blocks of the distances, ties to the
+    lower column (:func:`_nearest`); a row whose kernel weights all
+    underflow is uniform.
     """
-    D = pairwise_sq_dists(Z)
-    np.fill_diagonal(D, np.inf)
-    n = D.shape[0]
+    dists = RowBlockCost(Z, None, 0.0)
+    n = dists.shape[0]
     k_eff = min(k, n - 1)
-    cols = np.sort(np.argsort(D, axis=1, kind="stable")[:, :k_eff], axis=1)
-    weights = np.exp(-np.take_along_axis(D, cols, axis=1) / (2.0 * width**2))
+    cols = np.empty((n, k_eff), dtype=np.intp)
+    sq = np.empty((n, k_eff))
+    for start, D in _cost_blocks(dists, 0):
+        stop = start + D.shape[0]
+        cols[start:stop], sq[start:stop] = _nearest(D, k_eff)
+    weights = np.exp(-sq / (2.0 * width**2))
     total = weights.sum(axis=1)
     vanished = total <= 0.0
     weights /= np.where(vanished, 1.0, total)[:, None]
@@ -375,29 +541,27 @@ def sparse_laplacian(graph):
 def quadratic_charge(A, graph):
     """Total quadratic regularization ``sum_i sum_b lam_{i,b} * ||row block||^2``.
 
-    Multipliers are recomputed from the cost matrix ``A`` exactly as the row
-    updates pin them, block by block, so the value is consistent with the
-    row subproblems the graph solves.  Each block takes one
-    :func:`_closed_form` call; fallback rows carry ``lam = 0``.  The block
-    sums of squared weights come from the graph's flat edge arrays, counting
-    only edges with a finite cost.
+    ``A`` is a dense cost array or a :class:`RowBlockCost`.  The
+    multipliers are those the row updates pin under ``A``, so the value is
+    consistent with the row subproblems the graph solves.  A
+    :class:`RowBlockCost` that :func:`build_graph` read with the graph's
+    ``k``, ``delta`` and block structure hands over the multipliers it kept;
+    otherwise they are computed with the same block loop, and fallback rows
+    carry ``lam = 0``.  The block sums of squared weights come from the
+    graph's flat edge arrays, counting only edges with a finite cost.
     """
     n_s = graph.n_source if graph.structured else 0
-    # lam[i, 0] charges the source block of a source row or the whole row of
-    # any other row; lam[i, 1] charges the target block of a source row.
-    lam = np.zeros((graph.n_samples, 2))
-    _, denom = _closed_form(A[n_s:], graph.k)
-    lam[n_s:, 0] = _multipliers(denom, 1.0)
-    if n_s:
-        src = A[:n_s, :n_s]
-        src_mass = _source_mass(src, graph.delta)
-        _, denom = _closed_form(src, graph.k)
-        lam[:n_s, 0] = _multipliers(denom, src_mass)
-        _, denom = _closed_form(A[:n_s, n_s:], graph.k)
-        lam[:n_s, 1] = _multipliers(denom, 1.0 - src_mass)
+    key = (graph.k, n_s, graph.delta)
+    if isinstance(A, RowBlockCost) and key in A.multipliers:
+        lam = A.multipliers[key]
+    else:
+        lam, _ = _graph_step(A, graph.k, graph.delta, n_s, build=False)
     rows, cols, weights = graph.edges()
     block = (rows < n_s) & (cols >= n_s)
-    charged = np.isfinite(A[rows, cols])
+    if isinstance(A, RowBlockCost):
+        charged = A.finite(rows, cols)
+    else:
+        charged = np.isfinite(A[rows, cols])
     return float(np.sum(lam[rows, block.astype(int)][charged] * weights[charged] ** 2))
 
 

@@ -22,6 +22,14 @@ from .exceptions import DimensionError, SingularMatrix, SingularPencil
 
 RIDGE_EPS = 1e-6
 
+BLOCK_BYTES = 8 << 20
+"""Bytes of one row block of a distance or cost matrix (8 MiB).
+
+Row-blocked stages reuse one buffer of this size per pass, so with the mmap
+threshold of :mod:`crossprop._malloc` its pages are faulted in once per pass,
+not once per block.
+"""
+
 
 class EigenPair(NamedTuple):
     """Eigenvalues (ascending) and matching eigenvector columns."""
@@ -57,10 +65,39 @@ def pairwise_sq_dists(Z):
     return D
 
 
+def block_rows(n_cols):
+    """Rows of a float64 block of about :data:`BLOCK_BYTES` bytes with ``n_cols`` columns."""
+    return max(1, BLOCK_BYTES // (8 * max(n_cols, 1)))
+
+
+def sq_dist_operand(Z):
+    """``[Z; 1; ||z||^2]``: the columns of ``Z`` ready for :func:`sq_dists_into`."""
+    Z = np.asarray(Z, dtype=float)
+    ones = np.ones((1, Z.shape[1]))
+    return np.vstack([Z, ones, np.einsum("ij,ij->j", Z, Z)[None, :]])
+
+
+def sq_dists_into(out, A, B):
+    """Write the squared distances between two sets of points into ``out``.
+
+    ``A`` and ``B`` are :func:`sq_dist_operand` columns of ``p`` and ``q``
+    points, ``out`` a ``(p, q)`` buffer.  One matrix product of
+    ``[-2 a; ||a||^2; 1]`` with ``[b; 1; ||b||^2]`` gives every
+    ``||a||^2 + ||b||^2 - 2 a.b``, which is clipped at zero.  Integer
+    coordinates give the same exact values as :func:`pairwise_sq_dists`.
+    Returns ``out``.
+    """
+    left = np.vstack([-2.0 * A[:-2], A[:-3:-1]])
+    np.matmul(left.T, B, out=out)
+    np.maximum(out, 0.0, out=out)
+    return out
+
+
 def _trace_ridge(A):
-    """Trace-scaled ridge ``RIDGE_EPS * (trace(A)/k) * I`` added to a copy of ``A``."""
+    """Add the ridge ``RIDGE_EPS * (trace(A)/k) * I`` to ``A`` in place and return ``A``."""
     k = A.shape[0]
-    return A + (RIDGE_EPS * np.trace(A) / k) * np.eye(k)
+    A[np.diag_indices(k)] += RIDGE_EPS * np.trace(A) / k
+    return A
 
 
 def solve_spd_linear(A, B):
@@ -91,13 +128,18 @@ def solve_spd_linear(A, B):
     B = np.asarray(B, dtype=float)
     if not np.all(np.isfinite(A)):
         raise SingularMatrix("coefficient matrix contains non-finite entries")
-    A = A + A.T
-    A /= 2.0
+    sym = A + A.T
+    sym /= 2.0
+    # ``sym`` is exactly symmetric, so ``sym.T`` is the same matrix in the
+    # Fortran order that LAPACK factors in place: no copy, and a repaired
+    # solve holds no more memory than a plain one.
     try:
-        factor = scipy.linalg.cho_factor(A)
+        factor = scipy.linalg.cho_factor(sym.T, overwrite_a=True)
     except scipy.linalg.LinAlgError:
+        np.add(A, A.T, out=sym)  # the failed factorization overwrote it
+        sym /= 2.0
         try:
-            factor = scipy.linalg.cho_factor(_trace_ridge(A))
+            factor = scipy.linalg.cho_factor(_trace_ridge(sym).T, overwrite_a=True)
         except scipy.linalg.LinAlgError as exc:
             raise SingularMatrix(
                 "matrix is not positive definite even after ridge repair"

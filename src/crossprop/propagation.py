@@ -9,13 +9,14 @@ by the harmonic solution
 obtained here with a Cholesky solve of the free-free Laplacian block.  For a
 connected graph each free row of the solution is a probability vector (the
 entries are hitting probabilities of the clamped classes).  Free samples
-with no path to a clamped sample make ``L_ff`` singular in exact arithmetic,
-yet rounding usually leaves its Cholesky pivots positive, so the
-factorization succeeds without a ridge repair.  Their right-hand side is
-zero, so their rows come out exactly zero, and the argmax decision maps them
-to class zero without notice.  On the 3000-sample synthetic shift with
-``k = 20`` (generator seed 0), 416 of 1500 target rows end this way at the
-fourth iteration, with no ridge repair.
+with no path to a clamped sample make ``L_ff`` singular in exact arithmetic.
+Rounding decides whether its Cholesky pivots stay positive, so the plain
+factorization succeeds or the ridge repair of
+:func:`crossprop.linalg.solve_spd_linear` runs.  Either way their
+right-hand side is zero, so their rows come out exactly zero, and the argmax
+decision maps them to class zero without notice.  On the 3000-sample
+synthetic shift with ``k = 20`` (generator seed 0), 416 of 1500 target rows
+end this way at the fourth iteration, where one ridge repair runs.
 
 The Laplacian may be a dense array or a scipy sparse array; the solver
 passes a ``csr_array``.  A sparse Laplacian is densified only in its

@@ -22,7 +22,11 @@ Each outer iteration alternates three exact subproblem solutions:
 
 2. **Graph step.**  Row-wise closed-form updates of the affinity graph from
    the cost matrix ``||z_i - z_j||^2 + beta * ||F_i - F_j||^2`` (see
-   :mod:`crossprop.graph`).
+   :mod:`crossprop.graph`).  The cost is a
+   :class:`crossprop.graph.RowBlockCost`: it is computed from ``Z`` and
+   ``F`` a block of rows at a time into one reused buffer, so no ``n x n``
+   cost matrix is built, and it keeps the row multipliers of the graph step
+   for the objective.
 
 3. **Propagation step.**  Harmonic soft labels on the fresh graph with the
    labeled block clamped, then hard pseudo-labels by row argmax.
@@ -53,7 +57,7 @@ import numpy as np
 from .data import Dataset, HyperParams, accuracy, one_hot
 from .exceptions import ConfigError
 from .graph import (
-    affinity_cost,
+    RowBlockCost,
     build_graph,
     gaussian_knn_graph,
     init_graph,
@@ -211,10 +215,13 @@ def objective(
     ``graph_scale`` divides the graph-coupled terms; the fit loop passes the
     Frobenius norm of the iteration's Laplacian so the monitored value
     matches the normalized Laplacian the projection step saw.  The row
-    multipliers are recomputed from the cost matrix at the evaluation point
-    unless a frozen ``cost_matrix`` is supplied; only then is a dense cost
-    matrix built.  The graph and label energies are summed over the graph's
-    edges.
+    multipliers come from ``cost_matrix`` when it is supplied: a dense cost
+    array, or a :class:`crossprop.graph.RowBlockCost`, whose multipliers the
+    fit loop's graph step has already computed.  Without it they are
+    computed at the evaluation point from a :class:`RowBlockCost` of
+    ``P.T @ X`` and ``F``, one block of rows at a time, so no ``n x n``
+    array is built.  The graph and label energies are summed over the
+    graph's edges.
     """
     Z = P.T @ X
     rows, cols, weights = graph.edges()
@@ -224,7 +231,7 @@ def objective(
         F = np.asarray(F, dtype=float)
         label_energy = _edge_energy(F, rows, cols, weights)
     if cost_matrix is None:
-        cost_matrix = affinity_cost(
+        cost_matrix = RowBlockCost(
             Z, F, beta, source_labels if graph.structured else None
         )
     charge = quadratic_charge(cost_matrix, graph)
@@ -338,7 +345,7 @@ def _alternate(dataset, params, d, log_sink, on_iteration):
             L.data /= scale  # the projection is this Laplacian's last use
             P = solve_projection(X, M, L, params.alpha, params.gamma, d)
             Z = P.T @ X
-            cost = affinity_cost(Z, F, cost_beta, y_s if structured else None)
+            cost = RowBlockCost(Z, F, cost_beta, y_s if structured else None)
             graph = build_graph(
                 cost, params.k, params.delta, y_s, structured=structured
             )
@@ -364,8 +371,6 @@ def _alternate(dataset, params, d, log_sink, on_iteration):
             graph_scale=scale,
             cost_matrix=cost,
         )
-        # Free the n x n cost before the next iteration builds its own.
-        del cost
 
         report.iterations = t
         report.objective_trace.append(value)

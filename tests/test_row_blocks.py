@@ -1,0 +1,197 @@
+"""The graph step read from row blocks equals the graph step on the dense cost.
+
+:class:`crossprop.graph.RowBlockCost` computes the cost matrix a few rows at
+a time.  Here the block size is forced down to 1-3 rows, so blocks end at
+every position around ``n_source`` and the last block of each side is often
+partial.  Coordinates and soft labels are small integers, so every cost is
+exact in both forms, ties are common and the rows must agree bit for bit.
+The last test runs whole fits under ``tracemalloc`` and checks that none of
+them holds an ``n x n`` array.
+"""
+
+import tracemalloc
+from contextlib import contextmanager
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import crossprop as cp
+import crossprop.graph
+import crossprop.linalg
+from crossprop.graph import RowBlockCost, quadratic_charge
+
+from conftest import csr_rows
+
+
+@contextmanager
+def blocks_of(rows, n_cols):
+    """Row blocks of ``rows`` rows for matrices with ``n_cols`` columns."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(crossprop.linalg, "BLOCK_BYTES", 8 * n_cols * rows)
+        yield
+
+
+@st.composite
+def cost_problems(draw):
+    """``(Z, F, beta, source_labels, k, delta, structured)`` on integer coordinates."""
+    n_s = draw(st.integers(1, 8))
+    n_t = draw(st.integers(1, 8))
+    n = n_s + n_t
+    d = draw(st.integers(1, 3))
+    Z = np.array(draw(st.lists(st.integers(-2, 2), min_size=d * n, max_size=d * n)))
+    F = None
+    if draw(st.booleans()):
+        F = np.array(draw(st.lists(st.integers(0, 1), min_size=2 * n, max_size=2 * n)))
+        F = F.reshape(n, 2).astype(float)
+    beta = draw(st.sampled_from([0.0, 0.1, 1.0]))
+    labels = np.array(draw(st.lists(st.integers(0, 2), min_size=n_s, max_size=n_s)))
+    k = draw(st.integers(1, n + 1))
+    delta = draw(st.sampled_from([0.0, 0.8, 1.0]))
+    structured = draw(st.booleans())
+    return Z.reshape(d, n).astype(float), F, beta, labels, k, delta, structured
+
+
+def assert_same_rows(graph, expected):
+    S, R = graph.rows, expected.rows
+    assert S.has_canonical_format
+    for a, b in ((S.indptr, R.indptr), (S.indices, R.indices), (S.data, R.data)):
+        np.testing.assert_array_equal(a, b, strict=True)
+
+
+def assert_invariants(graph, labels, k, delta):
+    S = graph.rows
+    np.testing.assert_allclose(S.sum(axis=1), 1.0, rtol=0.0, atol=1e-12)
+    assert np.all(S.data > 0.0)
+    assert np.all(S.diagonal() == 0.0)
+    rows = csr_rows(S)
+    if not graph.structured:
+        assert all(cols.size <= k for cols, _ in rows)
+        return
+    n_s = labels.size
+    for i, (cols, weights) in enumerate(rows):
+        if i >= n_s:
+            assert cols.size <= k
+            continue
+        src = cols < n_s
+        singleton = np.count_nonzero(labels == labels[i]) == 1
+        mass = 0.0 if singleton else delta
+        assert abs(weights[src].sum() - mass) <= 1e-12
+        assert np.count_nonzero(src) <= k and np.count_nonzero(~src) <= k
+        assert np.all(labels[cols[src]] == labels[i])
+
+
+@settings(max_examples=300, deadline=None)
+@given(cost_problems(), st.integers(1, 3))
+def test_row_blocks_equal_dense_cost(problem, block):
+    Z, F, beta, labels, k, delta, structured = problem
+    n = Z.shape[1]
+    mask = labels if structured else None
+    dense = cp.affinity_cost(Z, F, beta, mask)
+    expected = cp.build_graph(dense, k, delta, labels, structured=structured)
+    with blocks_of(block, n):
+        cost = RowBlockCost(Z, F, beta, mask)
+        graph = cp.build_graph(cost, k, delta, labels, structured=structured)
+        streamed = quadratic_charge(RowBlockCost(Z, F, beta, mask), graph)
+        blocked_dense = cp.build_graph(dense, k, delta, labels, structured=structured)
+    assert_same_rows(graph, expected)
+    assert_same_rows(blocked_dense, expected)
+    assert len(cost.multipliers) == 1
+    charge = quadratic_charge(dense, graph)
+    assert quadratic_charge(cost, graph) == pytest.approx(charge, rel=1e-12, abs=0.0)
+    assert streamed == pytest.approx(charge, rel=1e-12, abs=0.0)
+    assert_invariants(graph, labels, k, delta)
+
+
+@settings(max_examples=100, deadline=None)
+@given(cost_problems(), st.integers(1, 3))
+def test_charge_skips_edges_the_row_block_cost_masks(problem, block):
+    # An unmasked graph charged under the class mask: its edges between
+    # source classes have an infinite cost and carry no charge.
+    Z, F, beta, labels, k, delta, _ = problem
+    loose = cp.build_graph(cp.affinity_cost(Z, F, beta), k, delta, labels, structured=False)
+    expected = quadratic_charge(cp.affinity_cost(Z, F, beta, labels), loose)
+    with blocks_of(block, Z.shape[1]):
+        charge = quadratic_charge(RowBlockCost(Z, F, beta, labels), loose)
+    assert charge == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(cost_problems(), st.integers(1, 3))
+def test_objective_without_a_cost_matrix_reads_row_blocks(problem, block):
+    Z, F, beta, labels, k, delta, structured = problem
+    n = Z.shape[1]
+    mask = labels if structured else None
+    graph = cp.build_graph(cp.affinity_cost(Z, F, beta, mask), k, delta, labels, structured)
+    X = np.vstack([Z, np.ones((1, n))])
+    P = np.eye(X.shape[0])[:, : Z.shape[0]]
+    E = np.ones((n, 1)) / n
+    args = (P, graph, F, X, E, 1.0, beta, 0.1)
+    dense = cp.objective(
+        *args, source_labels=labels, cost_matrix=cp.affinity_cost(Z, F, beta, mask)
+    )
+    with blocks_of(block, n):
+        value = cp.objective(*args, source_labels=labels)
+    assert value == pytest.approx(dense, rel=1e-12, abs=1e-12)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(2, 12).flatmap(
+        lambda n: st.tuples(
+            st.lists(st.integers(-2, 2), min_size=2 * n, max_size=2 * n),
+            st.integers(1, n + 1),
+            st.integers(1, 3),
+        )
+    )
+)
+def test_gaussian_knn_rows_do_not_depend_on_the_block_size(problem):
+    values, k, block = problem
+    Z = np.array(values, dtype=float).reshape(2, -1)
+    expected = cp.gaussian_knn_graph(Z, k, n_source=0)
+    with blocks_of(block, Z.shape[1]):
+        graph = cp.gaussian_knn_graph(Z, k, n_source=0)
+    assert_same_rows(graph, expected)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.tuples(st.integers(1, 6), st.integers(1, 6)).flatmap(
+        lambda pq: st.tuples(
+            st.lists(st.integers(-2, 2), min_size=sum(pq), max_size=sum(pq)),
+            st.just(pq[0]),
+            st.integers(1, 3),
+        )
+    )
+)
+def test_blocked_nearest_neighbor_matches_dense_argmin(problem):
+    values, p, block = problem
+    Z = np.array(values, dtype=float).reshape(1, -1)
+    labels = np.arange(p) * 10
+    D = cp.pairwise_sq_dists(Z)[p:, :p]
+    with blocks_of(block, p):
+        predicted = cp.nearest_neighbor(Z[:, :p], labels, Z[:, p:])
+    np.testing.assert_array_equal(predicted, labels[np.argmin(D, axis=1)])
+
+
+def _no_dense_distances(Z):
+    raise AssertionError("an n x n distance matrix was built")
+
+
+@pytest.mark.parametrize("ablation", ["full", "sp", "dg", "ds"])
+def test_fit_holds_no_n_by_n_array(monkeypatch, ablation):
+    ds = cp.gen_synthetic_shift(
+        0, per_class=334, n_classes=3, rotation_deg=35.0, shift=(2.0, 1.0)
+    )
+    n = ds.n_samples
+    params = cp.HyperParams(k=20, iterations=2, ablation=ablation)
+    monkeypatch.setattr(crossprop.graph, "pairwise_sq_dists", _no_dense_distances)
+    tracemalloc.start()
+    try:
+        cp.fit(ds, params)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert n >= 2000
+    assert peak < 8 * n * n

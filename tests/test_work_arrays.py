@@ -3,22 +3,27 @@
 ``discrepancy_matrix``, ``conditional_mmd``, ``laplacian`` and
 ``pairwise_sq_dists`` build their ``n x n`` results with fewer temporaries
 than the textbook expressions below; the results must be ``np.array_equal``
-to them, not merely close, so every fit stays bit-identical.  The last test
-checks the allocator setting that ``import crossprop`` makes.
+to them, not merely close, so every fit stays bit-identical.  The Cholesky
+solve factors its symmetrized copy in place, with or without the ridge
+repair.  The last test checks the allocator setting that ``import
+crossprop`` makes.
 """
 
 import os
 import platform
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import crossprop as cp
-from crossprop.linalg import pairwise_sq_dists
+import crossprop.linalg
+from crossprop.linalg import RIDGE_EPS, pairwise_sq_dists, solve_spd_linear
 
 from conftest import make_dataset
 
@@ -87,6 +92,38 @@ def test_pairwise_sq_dists_equals_textbook_form(rng):
     np.maximum(D, 0.0, out=D)
     np.fill_diagonal(D, 0.0)
     assert np.array_equal(pairwise_sq_dists(Z), D)
+
+
+@pytest.mark.parametrize("rank, repaired", [(40, False), (3, True)])
+def test_spd_solve_holds_one_work_array_with_or_without_repair(
+    monkeypatch, rank, repaired
+):
+    rng = np.random.default_rng(rank)
+    k = 400
+    X = rng.standard_normal((k, rank))
+    A = X @ X.T + (0.0 if repaired else 1.0) * np.eye(k)
+    B = rng.standard_normal((k, 2))
+    sym = (A + A.T) / 2.0
+    if repaired:
+        sym = sym + (RIDGE_EPS * np.trace(sym) / k) * np.eye(k)
+    expected = scipy.linalg.cho_solve(scipy.linalg.cho_factor(sym), B)
+    repairs = []
+    ridge = crossprop.linalg._trace_ridge
+
+    def counted_ridge(M):
+        repairs.append(M.shape)
+        return ridge(M)
+
+    monkeypatch.setattr(crossprop.linalg, "_trace_ridge", counted_ridge)
+    tracemalloc.start()
+    try:
+        solution = solve_spd_linear(A, B)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(repairs) == int(repaired)
+    assert np.array_equal(solution, expected)
+    assert peak < 1.5 * A.nbytes
 
 
 @pytest.mark.skipif(
