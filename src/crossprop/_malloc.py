@@ -1,16 +1,15 @@
 """Allocator setting for the solver's large work arrays.
 
 A fit allocates and frees large work arrays every iteration: the row blocks
-of the graph step's cost, the dense free-free block of the harmonic solve
-and its Cholesky copies.  glibc's ``malloc`` serves a request of at least
-its mmap threshold with a fresh mapping that ``free`` returns to the system,
-but it raises that threshold to the size of every mapped block freed (up to
-32 MiB).  After the first freed large array, arrays below 32 MiB are
-therefore recycled through the heap.  Small allocations then split the
-freed holes, so the next large array sometimes fits a hole and sometimes
-extends the heap, and the resident size of a fit moves by whole arrays from
-one process to the next with the allocation history (hash seed, import
-order).
+of the graph step's cost and the sparse LU factors of the harmonic solve.
+glibc's ``malloc`` serves a request of at least its mmap threshold with a
+fresh mapping that ``free`` returns to the system, but it raises that
+threshold to the size of every mapped block freed (up to 32 MiB).  After the
+first freed large array, arrays below 32 MiB are therefore recycled through
+the heap.  Small allocations then split the freed holes, so the next large
+array sometimes fits a hole and sometimes extends the heap, and the resident
+size of a fit moves by whole arrays from one process to the next with the
+allocation history (hash seed, import order).
 
 Pinning the threshold keeps every array of at least :data:`MMAP_THRESHOLD`
 bytes in its own mapping, so the resident size follows the live arrays

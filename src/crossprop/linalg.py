@@ -5,12 +5,14 @@ package are column-major in the semantic sense: a data matrix has shape
 ``(n_features, n_samples)`` and column ``j`` is one sample.  The helpers here
 make no domain assumptions beyond symmetry/definiteness where stated.
 
-Nominally definite matrices coming out of graph Laplacians or centred Gram
-matrices are frequently semi-definite in exact arithmetic.  The factorization
-helpers therefore first attempt a plain Cholesky and, only when that fails,
-retry after adding a trace-scaled ridge ``eps * (trace(A)/k) * I``.  Repairing
-on demand keeps the residual guarantees of the common well-conditioned case
-intact while still handling rank-deficient inputs deterministically.
+Nominally definite matrices such as centred Gram matrices are frequently
+semi-definite in exact arithmetic.  The factorization helpers therefore first
+attempt a plain Cholesky and, only when that fails, retry after adding a
+trace-scaled ridge ``eps * (trace(A)/k) * I``.  Repairing on demand keeps the
+residual guarantees of the common well-conditioned case intact while still
+handling rank-deficient inputs deterministically.  The graph Laplacian's
+free-free block is not solved here: :mod:`crossprop.propagation` factors only
+its non-singular reachable part with a sparse LU, so no ridge touches it.
 """
 
 from typing import NamedTuple

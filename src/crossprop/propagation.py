@@ -4,30 +4,49 @@ With the samples ordered so the first ``n_clamped`` rows carry known labels,
 the label-smoothness energy ``tr(F.T L F)`` is minimized over the free rows
 by the harmonic solution
 
-    F_free = -inv(L_ff) @ L_fc @ F_clamped,
+    F_free = -inv(L_ff) @ L_fc @ F_clamped.
 
-obtained here with a Cholesky solve of the free-free Laplacian block.  For a
-connected graph each free row of the solution is a probability vector (the
-entries are hitting probabilities of the clamped classes).  Free samples
-with no path to a clamped sample make ``L_ff`` singular in exact arithmetic.
-Rounding decides whether its Cholesky pivots stay positive, so the plain
-factorization succeeds or the ridge repair of
-:func:`crossprop.linalg.solve_spd_linear` runs.  Either way their
-right-hand side is zero, so their rows come out exactly zero, and the argmax
-decision maps them to class zero without notice.  On the 3000-sample
-synthetic shift with ``k = 20`` (generator seed 0), 416 of 1500 target rows
-end this way at the fourth iteration, where one ridge repair runs.
+Each free row of the solution holds the probabilities that a random walk
+from that sample first hits a clamped sample of each class, so it sums to
+one -- provided the walk can reach a clamped sample at all.
+
+A free row is *reachable* when its connected component of the graph holds a
+clamped row.  Components are found on the nonzero pattern of ``L``, so a
+stored zero weight is no edge.  The ``L_ff`` block of the reachable rows is
+an irreducibly diagonally dominant M-matrix, hence non-singular, and it is
+factored with a sparse LU.  It is never densified, and no ridge is added.
+An unreachable row has no clamped sample to take a label from: its soft
+labels are exactly zero by construction, and :func:`decide_labels` maps it
+to class zero.  On the 3000-sample synthetic shift with ``k = 20``
+(generator seed 0), 416 of 1500 target rows are unreachable at the final
+iteration.
 
 The Laplacian may be a dense array or a scipy sparse array; the solver
-passes a ``csr_array``.  A sparse Laplacian is densified only in its
-free-free block, because the dense Cholesky is what tolerates the singular
-``L_ff`` of unreachable rows, where a sparse LU would fail.
+passes a ``csr_array``.
 """
 
 import numpy as np
 import scipy.sparse
+from scipy.sparse.csgraph import connected_components
+from scipy.sparse.linalg import splu
 
-from .linalg import solve_spd_linear
+from .exceptions import SingularMatrix
+
+
+def reachable_rows(L, n_clamped):
+    """Mask of the rows after the clamped prefix that have a path to a clamped row.
+
+    ``L`` is a ``csr_array`` Laplacian or weight matrix.  Its nonzero
+    entries are the edges; a stored zero is none.
+    """
+    pattern = scipy.sparse.csr_array(
+        (L.data != 0.0, L.indices, L.indptr), shape=L.shape, copy=True
+    )
+    pattern.eliminate_zeros()
+    _, component = connected_components(pattern, directed=False)
+    clamped = np.zeros(component.max(initial=-1) + 1, dtype=bool)
+    clamped[component[:n_clamped]] = True
+    return clamped[component[n_clamped:]]
 
 
 def harmonic_solve(L, clamped):
@@ -36,26 +55,44 @@ def harmonic_solve(L, clamped):
     Parameters
     ----------
     L : ndarray or scipy sparse array of shape (n, n)
-        Graph Laplacian (symmetrized, unscaled).  A sparse ``L`` is
-        densified only in its free-free block.
+        Graph Laplacian (symmetrized, unscaled).
     clamped : ndarray of shape (n_clamped, C)
         Fixed label rows of the first ``n_clamped`` samples.
 
     Returns
     -------
     F_free : ndarray of shape (n - n_clamped, C)
-        Soft labels of the free samples.
+        Soft labels of the free samples.  Rows without a path to a clamped
+        row are exactly zero.
+
+    Raises
+    ------
+    SingularMatrix
+        If ``L`` holds non-finite entries, or the sparse factorization of
+        the reachable free block fails.
     """
     clamped = np.asarray(clamped, dtype=float)
     n_clamped = clamped.shape[0]
-    if scipy.sparse.issparse(L):
-        L = scipy.sparse.csr_array(L)
-        L_ff = L[n_clamped:, n_clamped:].toarray()
-    else:
-        L = np.asarray(L, dtype=float)
-        L_ff = L[n_clamped:, n_clamped:]
-    L_fc = L[n_clamped:, :n_clamped]
-    return solve_spd_linear(L_ff, -L_fc @ clamped)
+    L = scipy.sparse.csr_array(L, dtype=float)
+    if not np.all(np.isfinite(L.data)):
+        raise SingularMatrix("Laplacian contains non-finite entries")
+    reach = reachable_rows(L, n_clamped)
+    F_free = np.zeros((reach.size, clamped.shape[1]))
+    if not reach.any():
+        return F_free
+    free = np.flatnonzero(reach) + n_clamped
+    rows = L[free]
+    rhs = -(rows[:, :n_clamped] @ clamped)
+    try:
+        factor = splu(
+            rows[:, free].tocsc(),
+            permc_spec="MMD_AT_PLUS_A",
+            options={"SymmetricMode": True},
+        )
+    except RuntimeError as exc:
+        raise SingularMatrix(f"free-free Laplacian block: {exc}") from exc
+    F_free[reach] = factor.solve(rhs)
+    return F_free
 
 
 def decide_labels(F):

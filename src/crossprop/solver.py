@@ -29,7 +29,9 @@ Each outer iteration alternates three exact subproblem solutions:
    for the objective.
 
 3. **Propagation step.**  Harmonic soft labels on the fresh graph with the
-   labeled block clamped, then hard pseudo-labels by row argmax.
+   labeled block clamped, then hard pseudo-labels by row argmax.  Free
+   samples with no path to a clamped sample keep all-zero soft labels
+   (:mod:`crossprop.propagation`); :class:`FitState` counts them.
 
 The monitored objective is
 
@@ -48,8 +50,6 @@ The loop stops early once the fraction of changed pseudo-labels drops below
 ``1e-3`` or the relative objective change drops below ``1e-5``.
 """
 
-import threading
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -77,7 +77,12 @@ ABLATIONS = ("full", "sp", "dg", "ds")
 
 @dataclass
 class FitState:
-    """Snapshot of the solver after one outer iteration."""
+    """Snapshot of the solver after one outer iteration.
+
+    ``unreachable_rows`` counts the free rows of ``F`` that are exactly zero:
+    the samples with no path in ``graph`` to a clamped sample.  A reachable
+    row sums to one, so the count is exact.
+    """
 
     iteration: int
     P: np.ndarray
@@ -86,6 +91,7 @@ class FitState:
     target_labels: np.ndarray
     objective: float
     label_change: float
+    unreachable_rows: int
 
 
 @dataclass
@@ -117,29 +123,6 @@ def centered_gram(X):
     return Xc @ Xc.T
 
 
-# ``(X, centered_gram(X))`` of the data matrix that this thread's fit runs on.
-_fit_scatter = threading.local()
-
-
-@contextmanager
-def _scatter_held(X):
-    """Compute ``centered_gram(X)`` once and let :func:`solve_projection` reuse it."""
-    previous = getattr(_fit_scatter, "held", None)
-    _fit_scatter.held = (X, centered_gram(X))
-    try:
-        yield
-    finally:
-        _fit_scatter.held = previous
-
-
-def _scatter(X):
-    """``centered_gram(X)``, taken from the running fit when it holds this ``X``."""
-    held = getattr(_fit_scatter, "held", None)
-    if held is not None and held[0] is X:
-        return held[1]
-    return centered_gram(X)
-
-
 def _discrepancy_form(Y, M):
     """``Y @ M @ Y.T`` from a dense ``(n, n)`` ``M`` or its ``(n, r)`` factor, ``r < n``."""
     M = np.asarray(M, dtype=float)
@@ -149,7 +132,7 @@ def _discrepancy_form(Y, M):
     return YE @ YE.T
 
 
-def solve_projection(X, M, L, alpha, gamma, d):
+def solve_projection(X, M, L, alpha, gamma, d, scatter=None):
     """Projection matrix from the generalized eigenproblem above.
 
     Parameters
@@ -167,6 +150,9 @@ def solve_projection(X, M, L, alpha, gamma, d):
         Graph and ridge regularization weights.
     d : int
         Projected dimension.
+    scatter : ndarray of shape (m, m), optional
+        ``centered_gram(X)``, computed here when not given; :func:`fit`
+        computes it once and passes it to every iteration.
 
     Returns
     -------
@@ -179,7 +165,9 @@ def solve_projection(X, M, L, alpha, gamma, d):
     if L is not None:
         left += alpha * (X @ (L @ X.T))
     left[np.diag_indices(m)] += gamma
-    return solve_sym_definite_geig(left, _scatter(X), d).vectors
+    if scatter is None:
+        scatter = centered_gram(X)
+    return solve_sym_definite_geig(left, scatter, d).vectors
 
 
 def _edge_energy(Y, rows, cols, weights):
@@ -290,13 +278,8 @@ def fit(dataset, params=None, log_sink=None, on_iteration=None):
     if params is None:
         params = HyperParams()
     d = _validate(dataset, params)
-    with _scatter_held(dataset.features):
-        return _alternate(dataset, params, d, log_sink, on_iteration)
-
-
-def _alternate(dataset, params, d, log_sink, on_iteration):
-    """The iterations of :func:`fit` on validated input."""
     X = dataset.features
+    scatter = centered_gram(X)
     n_s = dataset.n_source
     n_l = dataset.n_labeled_target
     C = dataset.n_classes
@@ -337,13 +320,13 @@ def _alternate(dataset, params, d, log_sink, on_iteration):
         M = discrepancy_factor(y_s, target_estimates, C)
 
         if params.ablation == "sp":
-            P = solve_projection(X, M, None, params.alpha, params.gamma, d)
+            P = solve_projection(X, M, None, params.alpha, params.gamma, d, scatter)
             Z = P.T @ X
             graph = gaussian_knn_graph(Z, params.k, n_s)
             cost = None
         else:
             L.data /= scale  # the projection is this Laplacian's last use
-            P = solve_projection(X, M, L, params.alpha, params.gamma, d)
+            P = solve_projection(X, M, L, params.alpha, params.gamma, d, scatter)
             Z = P.T @ X
             cost = RowBlockCost(Z, F, cost_beta, y_s if structured else None)
             graph = build_graph(
@@ -394,6 +377,7 @@ def _alternate(dataset, params, d, log_sink, on_iteration):
                     ),
                     objective=value,
                     label_change=change,
+                    unreachable_rows=int(np.count_nonzero(~F_free.any(axis=1))),
                 )
             )
 

@@ -16,7 +16,7 @@ import crossprop as cp
 import crossprop.graph
 import crossprop.mmd
 import crossprop.solver
-from crossprop.solver import _graph_scale, _scatter, _scatter_held, centered_gram
+from crossprop.solver import _graph_scale, centered_gram
 from crossprop.solver import objective, solve_projection
 
 from conftest import make_dataset, random_connected_weights
@@ -133,12 +133,29 @@ def test_fit_builds_no_dense_discrepancy_matrix_or_laplacian(rng, monkeypatch):
         assert report.iterations >= 1
 
 
-def test_scatter_is_reused_only_for_the_held_matrix(rng):
-    X = rng.standard_normal((4, 12))
-    with _scatter_held(X):
-        held = _scatter(X)
-        assert _scatter(X) is held
-        assert _scatter(X.copy()) is not held
-    assert _scatter(X) is not held
-    X[0] += 1.0
-    npt.assert_array_equal(_scatter(X), centered_gram(X))
+@pytest.mark.parametrize("ablation", ["full", "sp"])
+def test_fit_computes_the_scatter_once(monkeypatch, ablation):
+    calls = []
+
+    def counted(X):
+        calls.append(X)
+        return centered_gram(X)
+
+    monkeypatch.setattr(crossprop.solver, "centered_gram", counted)
+    ds = cp.gen_synthetic_shift(
+        0, per_class=40, n_classes=3, rotation_deg=35.0, shift=(2.0, 1.0)
+    )
+    report = cp.fit(ds, cp.HyperParams(k=5, d=3, iterations=3, ablation=ablation))
+    assert report.iterations >= 2
+    assert len(calls) == 1 and calls[0] is ds.features
+
+
+def test_a_passed_scatter_equals_the_computed_one(rng):
+    ds = make_dataset(rng)
+    X = ds.features
+    E = cp.discrepancy_factor(ds.source_labels, ds.hidden_target_labels, ds.n_classes)
+    L = scipy.sparse.csr_array(np.diag(np.arange(X.shape[1], dtype=float)))
+    npt.assert_array_equal(
+        solve_projection(X, E, L, 1.0, 0.1, 3, centered_gram(X)),
+        solve_projection(X, E, L, 1.0, 0.1, 3),
+    )

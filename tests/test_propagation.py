@@ -2,8 +2,13 @@
 
 import numpy as np
 import numpy.testing as npt
+import pytest
+import scipy.sparse
 
 import crossprop as cp
+import crossprop.linalg
+import crossprop.propagation
+from crossprop.propagation import reachable_rows
 
 from conftest import fixed_point_propagation, random_connected_weights
 
@@ -80,13 +85,128 @@ class TestHarmonicSolve:
             assert energy(full + bump) >= base - 1e-10
 
     def test_disconnected_free_node_degrades_to_zero_scores(self):
-        # A free node with no edges has no evidence for any class; the
-        # regularized solve leaves its scores at zero instead of failing.
+        # A free node with no edges has no path to a clamped node, so it is
+        # left out of the solve and its scores are exactly zero.
         W = np.zeros((3, 3))
         W[0, 1] = W[1, 0] = 1.0  # node 2 floats free
         F = cp.harmonic_solve(laplacian_of(W), np.array([[1.0, 0.0]]))
-        npt.assert_allclose(F[0], [1.0, 0.0], atol=1e-6)
-        npt.assert_allclose(F[1], [0.0, 0.0], atol=1e-12)
+        npt.assert_allclose(F[0], [1.0, 0.0], atol=1e-12)
+        npt.assert_array_equal(F[1], [0.0, 0.0])
+
+
+def split_graph(rng):
+    """Weights of 2 clamped nodes, 5 reachable free nodes and a clamp-free path.
+
+    Nodes 0-6 are connected.  The free nodes 7-9 form a path of unit
+    weights, whose Laplacian block has a Cholesky pivot of exactly zero.
+    Returns ``(W, reachable)``, the mask over the free nodes 2-9.
+    """
+    W = np.zeros((10, 10))
+    W[:7, :7] = random_connected_weights(rng, 7, extra_edges=4)
+    W[7, 8] = W[8, 7] = W[8, 9] = W[9, 8] = 1.0
+    return W, np.arange(2, 10) < 7
+
+
+def dense_reachable_solve(L, clamped, reachable):
+    """Exact dense harmonic solution on the reachable free rows only."""
+    free = np.flatnonzero(reachable) + clamped.shape[0]
+    L_ff = L[np.ix_(free, free)]
+    L_fc = L[np.ix_(free, np.arange(clamped.shape[0]))]
+    return np.linalg.solve(L_ff, -L_fc @ clamped)
+
+
+def far_cluster_dataset(rng):
+    """Two source classes, targets near them, and 12 targets far from everything.
+
+    With ``k = 4`` no edge reaches the far cluster, so its 12 rows have no
+    path to a source sample.
+    """
+    def blob(center, size):
+        return rng.normal(np.array(center, dtype=float)[:, None], 0.3, (3, size))
+
+    features = np.hstack(
+        [
+            blob([0, 0, 0], 10),
+            blob([3, 0, 0], 10),
+            blob([0.2, 0.5, 0], 8),
+            blob([3.2, 0.5, 0], 8),
+            blob([50, 50, 50], 12),
+        ]
+    )
+    return cp.Dataset(
+        features=features,
+        n_source=20,
+        n_labeled_target=0,
+        n_unlabeled_target=28,
+        source_labels=np.repeat([0, 1], 10),
+        n_classes=2,
+        hidden_target_labels=np.r_[np.repeat([0, 1], 8), np.ones(12, dtype=int)],
+    )
+
+
+class TestUnreachableRows:
+    def test_clamp_free_component_is_left_out_of_the_solve(self, rng):
+        clamped = np.eye(2)
+        for _ in range(5):
+            W, reachable = split_graph(rng)
+            L = laplacian_of(W)
+            for form in (L, scipy.sparse.csr_array(L)):
+                F = cp.harmonic_solve(form, clamped)
+                expected = dense_reachable_solve(L, clamped, reachable)
+                npt.assert_allclose(F[reachable], expected, rtol=0.0, atol=1e-12)
+                npt.assert_allclose(F[reachable].sum(axis=1), 1.0, rtol=0.0, atol=1e-12)
+                assert np.all(F[~reachable] == 0.0)
+
+    def test_a_stored_zero_weight_is_no_edge(self, rng):
+        # The only link from the path to the rest underflowed to a weight
+        # of zero that the sparse Laplacian still stores.
+        clamped = np.eye(2)
+        W, reachable = split_graph(rng)
+        L = scipy.sparse.coo_array(laplacian_of(W))
+        L = scipy.sparse.csr_array(
+            (np.r_[L.data, 0.0, 0.0], (np.r_[L.row, 2, 7], np.r_[L.col, 7, 2])),
+            shape=L.shape,
+        )
+        assert np.count_nonzero(L.data == 0.0) == 2
+        F = cp.harmonic_solve(L, clamped)
+        expected = dense_reachable_solve(L.toarray(), clamped, reachable)
+        npt.assert_allclose(F[reachable], expected, rtol=0.0, atol=1e-12)
+        assert np.all(F[~reachable] == 0.0)
+
+    def test_reachable_rows_mask(self, rng):
+        W, reachable = split_graph(rng)
+        L = scipy.sparse.csr_array(laplacian_of(W))
+        npt.assert_array_equal(reachable_rows(L, 2), reachable)
+        npt.assert_array_equal(reachable_rows(L, 0), np.zeros(10, dtype=bool))
+
+    def test_no_clamped_row_gives_all_zero_scores(self, rng):
+        W, _ = split_graph(rng)
+        F = cp.harmonic_solve(laplacian_of(W), np.zeros((0, 3)))
+        npt.assert_array_equal(F, np.zeros((10, 3)))
+
+    def test_non_finite_laplacian_raises(self):
+        L = laplacian_of(np.array([[0.0, 1.0], [1.0, 0.0]]))
+        L[1, 1] = np.nan
+        with pytest.raises(cp.SingularMatrix):
+            cp.harmonic_solve(L, np.array([[1.0, 0.0]]))
+
+    def test_fit_counts_unreachable_rows_without_a_dense_solve(self, monkeypatch, rng):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the fit called the dense SPD solve")
+
+        monkeypatch.setattr(crossprop.linalg, "solve_spd_linear", refuse)
+        monkeypatch.setattr(crossprop.linalg, "_trace_ridge", refuse)
+        monkeypatch.setattr(
+            crossprop.propagation, "solve_spd_linear", refuse, raising=False
+        )
+        ds = far_cluster_dataset(rng)
+        states = []
+        params = cp.HyperParams(k=4, iterations=3, d=2)
+        report = cp.fit(ds, params, on_iteration=states.append)
+        assert report.iterations == len(states) >= 1
+        for state in states:
+            zero_rows = np.count_nonzero(~state.F[ds.n_source :].any(axis=1))
+            assert state.unreachable_rows == zero_rows == 12
 
 
 class TestDecideLabels:

@@ -5,8 +5,8 @@ a time.  Here the block size is forced down to 1-3 rows, so blocks end at
 every position around ``n_source`` and the last block of each side is often
 partial.  Coordinates and soft labels are small integers, so every cost is
 exact in both forms, ties are common and the rows must agree bit for bit.
-The last test runs whole fits under ``tracemalloc`` and checks that none of
-them holds an ``n x n`` array.
+The last tests run whole fits and a harmonic solve under ``tracemalloc``
+and check that none of them holds an ``n x n`` array.
 """
 
 import tracemalloc
@@ -195,3 +195,22 @@ def test_fit_holds_no_n_by_n_array(monkeypatch, ablation):
         tracemalloc.stop()
     assert n >= 2000
     assert peak < 8 * n * n
+
+
+def test_harmonic_solve_holds_no_free_by_free_array():
+    ds = cp.gen_synthetic_shift(
+        0, per_class=667, n_classes=3, rotation_deg=35.0, shift=(2.0, 1.0)
+    )
+    graph = cp.init_graph(ds.features, 20, 0.8, ds.source_labels)
+    L = crossprop.graph.sparse_laplacian(graph)
+    clamped = cp.one_hot(ds.source_labels, ds.n_classes)
+    n_free = ds.n_samples - ds.n_source
+    tracemalloc.start()
+    try:
+        F = cp.harmonic_solve(L, clamped)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert n_free >= 2000
+    assert F.shape == (n_free, ds.n_classes)
+    assert peak < 8 * n_free * n_free
