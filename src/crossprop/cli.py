@@ -86,7 +86,7 @@ class _Config:
         self.path = path
         self.seen = set()
 
-    def _raw(self, key, default, required):
+    def _raw(self, key, required):
         self.seen.add(key)
         if key not in self.table:
             if required:
@@ -95,11 +95,11 @@ class _Config:
         return self.table[key]
 
     def get_str(self, key, default=None, required=False):
-        raw = self._raw(key, default, required)
+        raw = self._raw(key, required)
         return default if raw is None else raw
 
     def get_int(self, key, default=None, required=False):
-        raw = self._raw(key, default, required)
+        raw = self._raw(key, required)
         if raw is None:
             return default
         try:
@@ -108,7 +108,7 @@ class _Config:
             raise ConfigError(f"{self.path}: key {key!r} wants an integer") from exc
 
     def get_float(self, key, default=None, required=False):
-        raw = self._raw(key, default, required)
+        raw = self._raw(key, required)
         if raw is None:
             return default
         try:
@@ -117,7 +117,7 @@ class _Config:
             raise ConfigError(f"{self.path}: key {key!r} wants a number") from exc
 
     def get_bool(self, key, default=None):
-        raw = self._raw(key, default, required=False)
+        raw = self._raw(key, required=False)
         if raw is None:
             return default
         if raw.lower() in ("true", "yes", "1"):
@@ -127,7 +127,7 @@ class _Config:
         raise ConfigError(f"{self.path}: key {key!r} wants true/false")
 
     def get_floats(self, key, default=None):
-        raw = self._raw(key, default, required=False)
+        raw = self._raw(key, required=False)
         if raw is None:
             return default
         try:

@@ -5,8 +5,9 @@ a time.  Here the block size is forced down to 1-3 rows, so blocks end at
 every position around ``n_source`` and the last block of each side is often
 partial.  Coordinates and soft labels are small integers, so every cost is
 exact in both forms, ties are common and the rows must agree bit for bit.
-The last tests run whole fits and a harmonic solve under ``tracemalloc``
-and check that none of them holds an ``n x n`` array.
+The last tests run whole fits, a graph step and a harmonic solve under
+``tracemalloc``: none of them holds an ``n x n`` array, and the graph step
+holds about three row blocks.
 """
 
 import tracemalloc
@@ -195,6 +196,29 @@ def test_fit_holds_no_n_by_n_array(monkeypatch, ablation):
         tracemalloc.stop()
     assert n >= 2000
     assert peak < 8 * n * n
+
+
+@pytest.mark.parametrize("mib", [1, 4])
+def test_graph_step_holds_about_three_row_blocks(mib):
+    # The graph step's peak is its working set: the cost buffer, the label
+    # cost scratch and the closed form's partition copy, one block each.
+    ds = cp.gen_synthetic_shift(
+        0, per_class=500, n_classes=3, rotation_deg=35.0, shift=(2.0, 1.0)
+    )
+    n = ds.n_samples
+    F = np.random.default_rng(0).dirichlet(np.ones(ds.n_classes), size=n)
+    with blocks_of((mib << 20) // (8 * n), n):
+        cost = RowBlockCost(ds.features, F, 0.1, ds.source_labels)
+        tracemalloc.start()
+        try:
+            graph = cp.build_graph(cost, 20, 0.8, ds.source_labels, structured=True)
+            retained, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        block_bytes = crossprop.linalg.BLOCK_BYTES
+    assert n == 3000
+    assert graph.rows.shape == (n, n)
+    assert peak - retained < 3.5 * block_bytes
 
 
 def test_harmonic_solve_holds_no_free_by_free_array():

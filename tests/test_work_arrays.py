@@ -5,14 +5,9 @@
 than the textbook expressions below; the results must be ``np.array_equal``
 to them, not merely close, so every fit stays bit-identical.  The Cholesky
 solve factors its symmetrized copy in place, with or without the ridge
-repair.  The last test checks the allocator setting that ``import
-crossprop`` makes.
+repair.
 """
 
-import os
-import platform
-import subprocess
-import sys
 import tracemalloc
 
 import numpy as np
@@ -124,20 +119,3 @@ def test_spd_solve_holds_one_work_array_with_or_without_repair(
     assert len(repairs) == int(repaired)
     assert np.array_equal(solution, expected)
     assert peak < 1.5 * A.nbytes
-
-
-@pytest.mark.skipif(
-    platform.system() != "Linux" or platform.libc_ver()[0] != "glibc",
-    reason="the mmap threshold is a glibc setting",
-)
-@pytest.mark.parametrize("preset, pinned", [(None, True), ("4194304", False)])
-def test_import_pins_mmap_threshold_unless_environment_sets_it(preset, pinned):
-    env = {k: v for k, v in os.environ.items() if k != "MALLOC_MMAP_THRESHOLD_"}
-    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(cp.__file__))
-    if preset is not None:
-        env["MALLOC_MMAP_THRESHOLD_"] = preset
-    code = "import crossprop._malloc as m; print(m._pinned)"
-    done = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
-    )
-    assert done.stdout.strip() == str(pinned)
