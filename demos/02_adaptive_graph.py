@@ -28,7 +28,9 @@ def main():
     print("A single target row with hand-picked costs [1, 2, 3, 100], k=2:")
     A = np.full((5, 5), np.inf)
     A[4, :4] = [1.0, 2.0, 3.0, 100.0]
-    row = cp.update_target_rows(A, k=2, n_source=4)[0]
+    row = cp.build_graph(
+        A, k=2, delta=0.0, source_labels=None, structured=False
+    ).rows[4]
     show_row("row 4", A[4, :4], row.coords[0], row.data)
     print("    -> the two cheapest candidates split the mass 2:1 and the")
     print("       rest are hard zeros; no kernel width was tuned.\n")

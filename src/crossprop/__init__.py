@@ -39,13 +39,10 @@ from .graph import (
     init_graph,
     laplacian,
     sparse_laplacian,
-    update_source_rows,
-    update_target_rows,
     write_edges,
 )
 from .linalg import EigenPair, pairwise_sq_dists, solve_spd_linear, solve_sym_definite_geig
 from .mmd import (
-    combined_mmd,
     conditional_mmd,
     discrepancy_factor,
     discrepancy_matrix,
@@ -77,7 +74,6 @@ __all__ = [
     "accuracy",
     "affinity_cost",
     "build_graph",
-    "combined_mmd",
     "discrepancy_factor",
     "discrepancy_matrix",
     "conditional_mmd",
@@ -99,8 +95,6 @@ __all__ = [
     "solve_spd_linear",
     "solve_sym_definite_geig",
     "sparse_laplacian",
-    "update_source_rows",
-    "update_target_rows",
     "with_labeled_targets",
     "write_edges",
     "zscore",

@@ -15,6 +15,7 @@ README for the key reference.  Exit codes: 0 success, 2 configuration error,
 """
 
 import argparse
+import dataclasses
 import sys
 
 import numpy as np
@@ -24,14 +25,10 @@ from .data import HyperParams, accuracy, gen_synthetic_shift, load_dataset
 from .exceptions import (
     ArgumentError,
     ConfigError,
-    ConvergenceError,
     CrosspropError,
-    DimensionError,
     LabelError,
     ParseError,
     ShapeError,
-    SingularMatrix,
-    SingularPencil,
 )
 from .graph import write_edges
 from .solver import fit
@@ -43,14 +40,6 @@ EXIT_NUMERIC = 4
 
 _CONFIG_ERRORS = (ConfigError, ArgumentError)
 _DATA_ERRORS = (ParseError, ShapeError, LabelError, OSError)
-_NUMERIC_ERRORS = (
-    SingularMatrix,
-    SingularPencil,
-    DimensionError,
-    ConvergenceError,
-    FloatingPointError,
-    np.linalg.LinAlgError,
-)
 
 
 def parse_config(path):
@@ -144,6 +133,23 @@ class _Config:
             raise ConfigError(f"{self.path}: unknown keys: {names}")
 
 
+_FIELD_PARSERS = {float: _Config.get_float, int: _Config.get_int, str: _Config.get_str}
+
+
+def _hyperparams(cfg):
+    """``HyperParams`` from the config keys present; absent keys keep its defaults.
+
+    Each key is parsed by the type of its dataclass field; ``d`` (``int`` or
+    ``None``) as an integer.
+    """
+    present = {}
+    for f in dataclasses.fields(HyperParams):
+        value = _FIELD_PARSERS[int if f.name == "d" else f.type](cfg, f.name)
+        if value is not None:
+            present[f.name] = value
+    return HyperParams(**present)
+
+
 def cmd_fit(args):
     cfg = _Config(parse_config(args.config), args.config)
     features_path = cfg.get_str("features", required=True)
@@ -153,17 +159,7 @@ def cmd_fit(args):
     n_unlabeled = cfg.get_int("n_unlabeled_target", required=True)
     n_classes = cfg.get_int("n_classes")
     standardize = cfg.get_bool("standardize", default=True)
-    params = HyperParams(
-        alpha=cfg.get_float("alpha", default=1.0),
-        beta=cfg.get_float("beta", default=0.1),
-        gamma=cfg.get_float("gamma", default=0.1),
-        d=cfg.get_int("d"),
-        k=cfg.get_int("k", default=20),
-        delta=cfg.get_float("delta", default=0.8),
-        iterations=cfg.get_int("iterations", default=10),
-        mode=cfg.get_str("mode", default="uda"),
-        ablation=cfg.get_str("ablation", default="full"),
-    )
+    params = _hyperparams(cfg)
     truth_path = cfg.get_str("truth")
     report_path = cfg.get_str("report", default="report.txt")
     predictions_path = cfg.get_str("predictions", default="predictions.csv")
@@ -301,10 +297,7 @@ def main(argv=None):
     except _DATA_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except _NUMERIC_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
-    except CrosspropError as exc:
+    except (CrosspropError, FloatingPointError, np.linalg.LinAlgError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
 

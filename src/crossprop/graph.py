@@ -12,7 +12,8 @@ entries: with block costs sorted ascending as ``a[0] <= a[1] <= ...``,
 
 Substituting this multiplier back into the KKT conditions gives the direct
 formula implemented by :func:`_block_weights`; no iterative optimization is
-involved.  Rows fall into two regimes:
+involved.  :func:`build_graph` computes every row.  Rows fall into two
+regimes:
 
 * Target rows spend their whole unit mass over all other samples.
 * Source rows are split: a ``delta`` share goes to same-class source
@@ -46,8 +47,9 @@ same row blocks.
 
 A graph is stored as one ``scipy.sparse.csr_array`` from the graph step to
 the CLI.  The solver's Laplacian is a ``csr_array`` too
-(:func:`sparse_laplacian`); the dense :func:`laplacian` and
-:meth:`AffinityGraph.toarray` are kept for inspection and tests.
+(:func:`sparse_laplacian`); the dense :func:`laplacian` of an
+:class:`AffinityGraph` and :meth:`AffinityGraph.toarray` are kept for
+inspection and tests.
 """
 
 import os
@@ -374,44 +376,6 @@ def _graph_step(A, k, delta, n_source, build=True):
     return lam, scipy.sparse.vstack(parts, format="csr")
 
 
-def update_target_rows(A, k, n_source):
-    """Closed-form rows for the target samples.
-
-    Each target row spends unit mass over all other samples (source and
-    target alike) with at most ``k`` nonzero weights.  The dense target
-    block ``A[n_source:]`` is solved a block of rows at a time, one
-    :func:`_closed_form` call per block; fallback rows take the scalar
-    :func:`_block_weights` path.
-
-    Returns
-    -------
-    rows : csr_array of shape (n - n_source, n)
-        One row per target sample, indexed by all ``n`` samples.
-    """
-    return _graph_step(A[n_source:], k, None, 0)[1]
-
-
-def update_source_rows(A, k, delta, source_labels):
-    """Closed-form rows for the source samples.
-
-    The same-class source block receives mass ``delta`` with at most
-    ``min(k, class_size - 1)`` neighbours (the class block excludes the
-    sample itself); the target block receives mass ``1 - delta`` with at
-    most ``k`` neighbours.  A source sample whose class has no other member
-    puts its entire mass on the target block, keeping the row stochastic.
-    Each block of the dense rows ``A[:n_s]`` takes one :func:`_closed_form`
-    call on its source columns and one on its target columns; fallback rows
-    take the scalar :func:`_block_weights` path.
-
-    Returns
-    -------
-    rows : csr_array of shape (n_source, n)
-        One row per source sample, indexed by all ``n`` samples.
-    """
-    n_s = np.asarray(source_labels).size
-    return _graph_step(A[:n_s], k, delta, n_s)[1]
-
-
 def build_graph(A, k, delta, source_labels, structured=True):
     """Assemble an :class:`AffinityGraph` from a cost matrix.
 
@@ -500,8 +464,8 @@ def laplacian(graph):
 
     Parameters
     ----------
-    graph : AffinityGraph or ndarray
-        Row-stochastic affinity matrix (a graph's CSR rows or dense).
+    graph : AffinityGraph
+        Row-stochastic affinity graph with rows ``S``.
 
     Returns
     -------
@@ -511,14 +475,8 @@ def laplacian(graph):
         ``diag(W @ 1) - W``.  Callers that need a scale-free Laplacian can
         divide by ``numpy.linalg.norm(L, 'fro')``.
     """
-    if isinstance(graph, AffinityGraph):
-        S = graph.rows
-    else:
-        S = np.asarray(graph, dtype=float)
-    # A sparse S + S.T is densified once, without a dense S.
-    W = S + S.T
-    if scipy.sparse.issparse(W):
-        W = W.toarray()
+    # The sparse S + S.T is densified once, without a dense S.
+    W = (graph.rows + graph.rows.T).toarray()
     W /= 2.0
     L = 0.0 - W
     L[np.diag_indices_from(L)] += W.sum(axis=1)

@@ -6,14 +6,15 @@ sample matrix ``Z`` with samples as columns, i.e. it turns the empirical
 maximum mean discrepancy between domains into a quadratic form.  The
 class-conditional matrix does the same per class, using pseudo-labels on the
 target side.  All constructors return symmetric positive semi-definite
-matrices with zero row sums.  :func:`discrepancy_factor` gives the combined
-matrix as an ``n x r`` factor (``r <= C + 1``) for callers that only need
-``X M X.T``.
+matrices with zero row sums.  :func:`discrepancy_matrix` adds the marginal
+and conditional matrices and scales the sum to unit Frobenius norm;
+:func:`discrepancy_factor` gives that combined matrix as an ``n x r``
+factor (``r <= C + 1``) for callers that only need ``X M X.T``.
 """
 
 import numpy as np
 
-from .exceptions import ArgumentError, LabelError, ShapeError
+from .exceptions import ArgumentError, LabelError
 
 
 def _marginal_vector(n_source, n_target):
@@ -101,38 +102,20 @@ def _add_class_blocks(M, source_labels, target_pseudo_labels, n_classes):
     return M
 
 
-def _scale_to_unit_norm(M):
-    """Divide ``M`` in place by its Frobenius norm unless that is zero; return ``M``."""
-    norm = np.linalg.norm(M, "fro")
-    if norm > 0.0:
-        M /= norm
-    return M
-
-
-def combined_mmd(M0, Mc):
+def discrepancy_matrix(source_labels, target_pseudo_labels, n_classes):
     """Marginal plus conditional matrix, scaled to unit Frobenius norm.
 
-    Returns the zero matrix if the sum itself is zero.
-    """
-    M0 = np.asarray(M0, dtype=float)
-    Mc = np.asarray(Mc, dtype=float)
-    if M0.shape != Mc.shape:
-        raise ShapeError(f"mismatched shapes {M0.shape} and {Mc.shape}")
-    return _scale_to_unit_norm(M0 + Mc)
-
-
-def discrepancy_matrix(source_labels, target_pseudo_labels, n_classes):
-    """Combined matrix straight from the label vectors (marginal + conditional).
-
-    Equal to ``combined_mmd(marginal_mmd(...), conditional_mmd(...))``, but the
-    class blocks are added into the marginal matrix and scaled in place, so
-    only one ``n x n`` array is allocated.
+    The class blocks are added into the marginal matrix and scaled in place,
+    so only one ``n x n`` array is allocated.  The marginal term is never
+    zero and the class terms are positive semi-definite, so the norm of the
+    sum is positive.
     """
     source_labels = np.asarray(source_labels, dtype=int)
     target_pseudo_labels = np.asarray(target_pseudo_labels, dtype=int)
     M = marginal_mmd(source_labels.size, target_pseudo_labels.size)
     _add_class_blocks(M, source_labels, target_pseudo_labels, n_classes)
-    return _scale_to_unit_norm(M)
+    M /= np.linalg.norm(M, "fro")
+    return M
 
 
 def discrepancy_factor(source_labels, target_pseudo_labels, n_classes):

@@ -50,6 +50,7 @@ The loop stops early once the fraction of changed pseudo-labels drops below
 ``1e-3`` or the relative objective change drops below ``1e-5``.
 """
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -243,6 +244,12 @@ def _validate(dataset, params):
         raise ConfigError("mode 'sda' requires labeled target samples")
     n = dataset.n_samples
     d = params.resolve_d(dataset)
+    for name, value in (("d", d), ("k", params.k), ("iterations", params.iterations)):
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise ConfigError(f"{name}={value!r} is not an integer")
+    for name, value in (("alpha", params.alpha), ("beta", params.beta), ("gamma", params.gamma)):
+        if not np.isfinite(value):
+            raise ConfigError(f"{name}={value} is not finite")
     if not 1 <= d <= min(dataset.n_features, n):
         raise ConfigError(f"d={d} outside [1, min(m, n)]")
     if not 1 <= params.k <= n - 1:

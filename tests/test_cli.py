@@ -1,11 +1,14 @@
 """Command-line interface: config parsing, subcommands, exit codes."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from crossprop import cli
-from crossprop.data import MATRIX_MAGIC, save_labels_csv
+from crossprop.data import MATRIX_MAGIC, HyperParams, load_labels_csv, save_labels_csv
 from crossprop.exceptions import ConfigError, SingularMatrix
+from crossprop.solver import FitReport
 
 
 def write_config(path, table):
@@ -226,6 +229,58 @@ class TestFitPipeline:
         assert "accuracy" not in report
 
 
+def capture_fit(monkeypatch):
+    """Replace ``cli.fit`` by a stub that records its ``HyperParams``."""
+    seen = []
+
+    def stub(dataset, params, **kwargs):
+        seen.append(params)
+        labels = np.zeros(dataset.n_target, dtype=int)
+        return FitReport(labels, iterations=1, converged=True, objective_trace=[0.0])
+
+    monkeypatch.setattr(cli, "fit", stub)
+    return seen
+
+
+class TestFitKeys:
+    def test_every_field_is_read_from_the_config(self, synth_files, monkeypatch):
+        tmp = synth_files
+        labels = np.concatenate(
+            [load_labels_csv(tmp / "labels.csv"), load_labels_csv(tmp / "truth.csv")[:3]]
+        )
+        save_labels_csv(str(tmp / "sda_labels.csv"), labels)
+        expected = HyperParams(
+            alpha=0.5,
+            beta=0.25,
+            gamma=0.125,
+            d=3,
+            k=5,
+            delta=0.6,
+            iterations=7,
+            mode="sda",
+            ablation="dg",
+        )
+        table = fit_table(
+            tmp,
+            labels=tmp / "sda_labels.csv",
+            n_labeled_target=3,
+            n_unlabeled_target=33,
+            **dataclasses.asdict(expected),
+        )
+        del table["truth"]
+        seen = capture_fit(monkeypatch)
+        assert cli.main(["fit", "--config", write_config(tmp / "fit.cfg", table)]) == 0
+        assert seen == [expected]
+
+    def test_absent_fields_keep_the_dataclass_defaults(self, synth_files, monkeypatch):
+        tmp = synth_files
+        table = fit_table(tmp)
+        del table["k"], table["iterations"]
+        seen = capture_fit(monkeypatch)
+        assert cli.main(["fit", "--config", write_config(tmp / "fit.cfg", table)]) == 0
+        assert seen == [HyperParams()]
+
+
 class TestExitCodes:
     def test_unknown_config_key_is_config_error(self, synth_files):
         tmp = synth_files
@@ -244,6 +299,15 @@ class TestExitCodes:
         tmp = synth_files
         cfg = write_config(tmp / "fit.cfg", fit_table(tmp, k="many"))
         assert cli.main(["fit", "--config", cfg]) == 2
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_beta_is_config_error(self, synth_files, capsys, value):
+        tmp = synth_files
+        cfg = write_config(tmp / "fit.cfg", fit_table(tmp, beta=value))
+        assert cli.main(["fit", "--config", cfg]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp / "report.txt").exists()
+        assert not (tmp / "predictions.csv").exists()
 
     def test_oversized_projection_dim_is_config_error(self, synth_files):
         tmp = synth_files

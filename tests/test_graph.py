@@ -22,6 +22,20 @@ from conftest import (
 )
 
 
+def target_rows(A, k, n_source):
+    """The rows from ``n_source`` on of the unstructured graph over ``A``.
+
+    Unstructured rows all take the target-row update, which does not depend
+    on the other rows.
+    """
+    return cp.build_graph(A, k, 0.0, None, structured=False).rows[n_source:]
+
+
+def source_rows(A, k, delta, source_labels):
+    """The source rows of the structured graph over ``A``."""
+    return cp.build_graph(A, k, delta, source_labels).rows[: len(source_labels)]
+
+
 class TestAffinityCost:
     def test_beta_zero_is_feature_distance_plus_mask(self, rng):
         Z = rng.standard_normal((3, 6))
@@ -60,7 +74,7 @@ class TestTargetRowUpdate:
     def test_hand_computed_weights(self):
         A = np.full((5, 5), np.inf)
         A[4, :4] = [1.0, 2.0, 3.0, 100.0]
-        rows = cp.update_target_rows(A, k=2, n_source=4)
+        rows = target_rows(A, k=2, n_source=4)
         cols, weights = csr_rows(rows)[0]
         npt.assert_array_equal(cols, [0, 1])
         npt.assert_allclose(weights, [2.0 / 3.0, 1.0 / 3.0])
@@ -68,7 +82,7 @@ class TestTargetRowUpdate:
     def test_degenerate_ties_fall_back_to_uniform(self):
         A = np.full((5, 5), np.inf)
         A[4, :4] = [5.0, 5.0, 5.0, 5.0]
-        rows = cp.update_target_rows(A, k=3, n_source=4)
+        rows = target_rows(A, k=3, n_source=4)
         cols, weights = csr_rows(rows)[0]
         npt.assert_array_equal(cols, [0, 1, 2])
         npt.assert_allclose(weights, [1.0 / 3.0] * 3)
@@ -79,7 +93,7 @@ class TestTargetRowUpdate:
             costs = rng.random(12) * 3.0
             A = np.full((13, 13), np.inf)
             A[12, :12] = costs
-            rows = cp.update_target_rows(A, k=k, n_source=12)
+            rows = target_rows(A, k=k, n_source=12)
             cols, weights = csr_rows(rows)[0]
             dense = np.zeros(13)
             dense[cols] = weights
@@ -89,7 +103,7 @@ class TestTargetRowUpdate:
     def test_exactly_k_nonzeros_generically(self, rng):
         A = np.full((10, 10), np.inf)
         A[9, :9] = rng.random(9)
-        rows = cp.update_target_rows(A, k=4, n_source=9)
+        rows = target_rows(A, k=4, n_source=9)
         cols, weights = csr_rows(rows)[0]
         assert cols.size == 4
         assert weights.sum() == pytest.approx(1.0, abs=1e-12)
@@ -104,7 +118,7 @@ class TestTargetRowUpdate:
             def weight_of(c, j=j):
                 A = np.full((13, 13), np.inf)
                 A[12, :12] = c
-                rows = cp.update_target_rows(A, k=k, n_source=12)
+                rows = target_rows(A, k=k, n_source=12)
                 cols, weights = csr_rows(rows)[0]
                 dense = np.zeros(12)
                 dense[cols[cols < 12]] = weights[cols < 12]
@@ -127,7 +141,7 @@ class TestSourceRowUpdate:
     def test_delta_one_keeps_row_in_source_block(self, rng):
         labels = np.array([0, 0, 0, 1, 1, 1])
         A = self._cost(rng, labels, 4)
-        rows = cp.update_source_rows(A, k=2, delta=1.0, source_labels=labels)
+        rows = source_rows(A, k=2, delta=1.0, source_labels=labels)
         for i, (cols, weights) in enumerate(csr_rows(rows)):
             assert np.all(cols < 6)
             assert weights.sum() == pytest.approx(1.0, abs=1e-12)
@@ -136,7 +150,7 @@ class TestSourceRowUpdate:
     def test_delta_zero_keeps_row_in_target_block(self, rng):
         labels = np.array([0, 0, 0, 1, 1, 1])
         A = self._cost(rng, labels, 4)
-        rows = cp.update_source_rows(A, k=2, delta=0.0, source_labels=labels)
+        rows = source_rows(A, k=2, delta=0.0, source_labels=labels)
         for cols, weights in csr_rows(rows):
             assert np.all(cols >= 6)
             assert weights.sum() == pytest.approx(1.0, abs=1e-12)
@@ -145,7 +159,7 @@ class TestSourceRowUpdate:
         labels = np.repeat([0, 1, 2], 8)
         delta, k = 0.8, 3
         A = self._cost(rng, labels, 15)
-        rows = cp.update_source_rows(A, k=k, delta=delta, source_labels=labels)
+        rows = source_rows(A, k=k, delta=delta, source_labels=labels)
         n_s = labels.size
         for i, (cols, weights) in enumerate(csr_rows(rows)):
             dense = np.zeros(A.shape[0])
@@ -156,7 +170,7 @@ class TestSourceRowUpdate:
     def test_lonely_class_moves_mass_to_targets(self, rng):
         labels = np.array([0, 1, 1, 1])
         A = self._cost(rng, labels, 3)
-        rows = cp.update_source_rows(A, k=2, delta=0.8, source_labels=labels)
+        rows = source_rows(A, k=2, delta=0.8, source_labels=labels)
         cols, weights = csr_rows(rows)[0]
         assert np.all(cols >= 4)
         assert weights.sum() == pytest.approx(1.0, abs=1e-12)
@@ -244,7 +258,10 @@ class TestLaplacian:
         S = rng.random((5, 5))
         S = (S + S.T) / 2.0
         np.fill_diagonal(S, 0.0)
-        W, L = cp.laplacian(S)
+        graph = cp.AffinityGraph(
+            scipy.sparse.csr_array(S), n_source=0, k=4, delta=0.0, structured=False
+        )
+        W, L = cp.laplacian(graph)
         npt.assert_allclose(W, S, atol=1e-15)
 
     def test_null_vector(self, rng):

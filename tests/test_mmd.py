@@ -4,8 +4,8 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from crossprop import combined_mmd, conditional_mmd, discrepancy_matrix, marginal_mmd
-from crossprop.exceptions import ArgumentError, LabelError, ShapeError
+from crossprop import conditional_mmd, discrepancy_matrix, marginal_mmd
+from crossprop.exceptions import ArgumentError, LabelError
 
 from conftest import brute_conditional_gap, brute_marginal_gap
 
@@ -86,14 +86,15 @@ class TestConditional:
 
 class TestCombined:
     def test_zero_conditional_normalizes_marginal(self):
+        # No class is present in both domains, so the conditional term is zero.
         M0 = marginal_mmd(3, 4)
-        M = combined_mmd(M0, np.zeros_like(M0))
+        M = discrepancy_matrix([0, 0, 0], [1, 1, 1, 1], 2)
         npt.assert_allclose(M, M0 / np.linalg.norm(M0, "fro"))
 
     def test_unit_norm_input_unchanged(self):
         M0 = marginal_mmd(2, 2)
         M0 = M0 / np.linalg.norm(M0, "fro")
-        npt.assert_allclose(combined_mmd(M0, np.zeros_like(M0)), M0)
+        npt.assert_allclose(discrepancy_matrix([0, 0], [1, 1], 2), M0)
 
     def test_output_norm_is_one_or_zero(self, rng):
         for _ in range(10):
@@ -101,18 +102,8 @@ class TestCombined:
             n_t = int(rng.integers(2, 8))
             y_s = rng.integers(0, 2, size=n_s)
             y_t = rng.integers(0, 2, size=n_t)
-            M = combined_mmd(
-                marginal_mmd(n_s, n_t), conditional_mmd(y_s, y_t, 2)
-            )
+            M = discrepancy_matrix(y_s, y_t, 2)
             assert np.linalg.norm(M, "fro") == pytest.approx(1.0, abs=1e-12)
-
-    def test_zero_matrix_stays_zero(self):
-        Z = np.zeros((4, 4))
-        npt.assert_array_equal(combined_mmd(Z, Z), Z)
-
-    def test_shape_mismatch_rejected(self):
-        with pytest.raises(ShapeError):
-            combined_mmd(np.zeros((2, 2)), np.zeros((3, 3)))
 
 
 class TestMatrixProperties:

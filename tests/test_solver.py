@@ -229,6 +229,23 @@ class TestValidation:
         with pytest.raises(ConfigError):
             self._fit(ds, beta=-0.5)
 
+    @pytest.mark.parametrize("name", ["alpha", "beta", "gamma"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_rejects_non_finite_weights(self, rng, name, value):
+        with pytest.raises(ConfigError, match=name):
+            self._fit(make_dataset(rng), **{name: value})
+
+    @pytest.mark.parametrize("name", ["d", "k", "iterations"])
+    @pytest.mark.parametrize("value", [2.5, True])
+    def test_rejects_non_integer_counts(self, rng, name, value):
+        with pytest.raises(ConfigError, match=name):
+            self._fit(make_dataset(rng), **{name: value})
+
+    def test_accepts_numpy_integer_counts(self, rng):
+        ds = make_dataset(rng)
+        report = self._fit(ds, d=np.int64(4), k=np.int32(4), iterations=np.int64(2))
+        assert report.iterations <= 2
+
 
 class TestFit:
     def _params(self, **overrides):

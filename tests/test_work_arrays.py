@@ -13,6 +13,7 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -60,9 +61,6 @@ def test_discrepancy_matrices_equal_outer_product_sums(problem):
     if norm > 0.0:
         M = M / norm
     assert np.array_equal(cp.discrepancy_matrix(src, tgt, n_classes), M)
-    assert np.array_equal(
-        cp.combined_mmd(cp.marginal_mmd(src.size, tgt.size), Mc), M
-    )
 
 
 @pytest.mark.parametrize("structured", [True, False])
@@ -72,7 +70,10 @@ def test_laplacian_of_graph_equals_dense_formula(rng, structured):
     S = graph.toarray()
     W_ref = (S + S.T) / 2.0
     L_ref = np.diag(W_ref.sum(axis=1)) - W_ref
-    for W, L in (cp.laplacian(graph), cp.laplacian(S)):
+    rows_only = cp.AffinityGraph(
+        scipy.sparse.csr_array(S), n_source=0, k=4, delta=0.0, structured=False
+    )
+    for W, L in (cp.laplacian(graph), cp.laplacian(rows_only)):
         assert np.array_equal(W, W_ref)
         assert np.array_equal(L, L_ref)
         assert np.array_equal(np.signbit(L), np.signbit(L_ref))
