@@ -22,16 +22,21 @@ regimes:
   remaining ``1 - delta`` share to target neighbours.
 
 Every row needs only its ``k + 1`` smallest block costs, so the updates work
-on blocks of rows at once: :func:`_closed_form` takes one ``np.partition``
-per cost block and sorts only the ``k + 1`` kept values of each row, giving
-every row's boundary ``a[k]`` and denominator.  A generic row's nonzero
-weights are then ``(a[k] - c) / denom`` wherever ``c < a[k]``, the same
-arithmetic as :func:`_block_weights`.  Only the fallback rows (at most one
-finite candidate, ``k`` at least the finite count, or a degenerate
+on blocks of rows at once and read each cost block in one pass:
+:func:`_closed_form` takes one ``np.argpartition`` per cost block, which
+picks each row's ``k + 1`` smallest costs with their columns, and sorts only
+those, giving every row's boundary ``a[k]`` and denominator.  A row is
+generic when its ``a[k]`` is finite and its denominator is not degenerate;
+its nonzero weights are then ``(a[k] - c) / denom`` at the picked costs
+``c < a[k]``, the same arithmetic as :func:`_block_weights`, and a tie at
+``a[k]`` carries zero weight, so the result does not depend on which tied
+columns were picked.  A source row's ``delta`` share needs a same-class peer,
+which exists exactly when its smallest picked source cost is finite.  Only
+the fallback rows (at most ``k`` finite candidates, or a degenerate
 denominator, where ties need the stable column order) go through
 :func:`_block_weights` one by one.  The multipliers ``lam`` of
 :func:`quadratic_charge` and :func:`block_multiplier` come from the same
-helper.
+selection.
 
 The costs come in row blocks of about :data:`crossprop.linalg.BLOCK_BYTES`
 bytes, and no block spans both source and target rows.  :func:`build_graph`
@@ -55,6 +60,7 @@ inspection and tests.
 import os
 import sys
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse
@@ -255,34 +261,45 @@ def _block_weights(costs, k):
     return np.maximum((boundary - costs) / denom, 0.0)
 
 
+class _Selection(NamedTuple):
+    """Each row's ``s = min(k + 1, candidates)`` smallest costs of a block."""
+
+    cols: np.ndarray  # (rows, s) their columns, ascending
+    costs: np.ndarray  # (rows, s) the costs at ``cols``
+    boundary: np.ndarray  # (rows,) a[k], the largest of them (+inf when s <= k)
+    denom: np.ndarray  # (rows,) k * a[k] - sum(a[:k]), zero off generic rows
+
+
 def _closed_form(costs, k):
-    """Closed-form quantities of every row of a cost block.
+    """Closed-form selection of every row of a cost block, in one pass.
 
     ``costs`` is a ``(rows, candidates)`` block with ``+inf`` marking the
-    excluded candidates.  One partition per block finds each row's ``k + 1``
-    smallest costs; only those are sorted.
-
-    Returns
-    -------
-    boundary : ndarray of shape (rows,)
-        ``a[k]`` of each row's ascending costs ``a`` (``+inf`` where the row
-        has at most ``k`` finite candidates).
-    denom : ndarray of shape (rows,)
-        ``k * a[k] - sum(a[:k])`` (zero where the row has at most ``k``
-        finite candidates), so ``denom > DEGENERATE_DENOM`` marks exactly the
-        rows that :func:`_block_weights` treats generically.
+    excluded candidates.  One ``np.argpartition`` per block picks each row's
+    ``k + 1`` smallest costs, so the block itself is read once; only the
+    picked costs are sorted.  A row is generic exactly when its ``a[k]`` is
+    finite (it has more than ``k`` finite candidates), and ``denom`` is
+    computed on those rows only, so ``denom > DEGENERATE_DENOM`` marks
+    exactly the rows that :func:`_block_weights` treats generically.
+    Whichever of several tied columns the selection picks, the sorted costs
+    are the same multiset, so ``boundary`` and ``denom`` do not depend on it.
     """
-    finite = np.count_nonzero(np.isfinite(costs), axis=1)
-    boundary = np.full(costs.shape[0], np.inf)
-    denom = np.zeros(costs.shape[0])
-    generic = finite > k
-    if generic.any():
-        part = costs[generic]
-        part.partition(k, axis=1)
-        ranked = np.sort(part[:, : k + 1], axis=1)
-        boundary[generic] = ranked[:, k]
-        denom[generic] = k * ranked[:, k] - ranked[:, :k].sum(axis=1)
-    return boundary, denom
+    n_rows, n_cols = costs.shape
+    s = min(k + 1, n_cols)
+    if s:
+        # Sorting copies the columns, so the full index block is freed on return.
+        cols = np.sort(np.argpartition(costs, s - 1, axis=1)[:, :s], axis=1)
+    else:
+        cols = np.empty((n_rows, 0), dtype=np.intp)
+    picked = np.take_along_axis(costs, cols, axis=1)
+    boundary = np.full(n_rows, np.inf)
+    denom = np.zeros(n_rows)
+    if s > k:
+        ranked = np.sort(picked, axis=1)
+        boundary = ranked[:, k]
+        generic = boundary < np.inf
+        top = ranked[generic]
+        denom[generic] = k * top[:, k] - top[:, :k].sum(axis=1)
+    return _Selection(cols, picked, boundary, denom)
 
 
 def _multipliers(denom, mass):
@@ -297,39 +314,62 @@ def block_multiplier(costs, k, mass):
     """Implicit quadratic multiplier of one block's row subproblem.
 
     Returns the ``lam`` under which :func:`_block_weights` is the exact
-    minimizer.  Blocks handled by a uniform fallback, and blocks without
+    minimizer, from the ``denom`` of the one-row :func:`_closed_form`
+    selection.  Blocks handled by a uniform fallback, and blocks without
     mass, carry no quadratic charge (``lam = 0``).
     """
-    _, denom = _closed_form(np.asarray(costs, dtype=float).reshape(1, -1), k)
+    denom = _closed_form(np.asarray(costs, dtype=float).reshape(1, -1), k).denom
     return float(_multipliers(denom, mass)[0])
 
 
 def _source_mass(src, delta):
-    """Source-block mass per row: ``delta``, or zero without a same-class peer."""
-    return np.where(np.isfinite(src).any(axis=1), float(delta), 0.0)
+    """Source-block mass per row from its :func:`_closed_form` selection.
+
+    ``delta`` where the row's smallest source cost is finite (it has a
+    same-class peer), zero otherwise; the cost block is not read again.
+    """
+    smallest = src.costs.min(axis=1, initial=np.inf)
+    return np.where(smallest < np.inf, float(delta), 0.0)
 
 
-def _block_rows(costs, k, mass, boundary, denom):
-    """Nonzero weights of every row of a cost block, scaled by its row's mass.
+def _block_rows(costs, k, mass, sel):
+    """Weights of every row of a cost block at its picked columns, scaled by its mass.
 
     ``costs`` is a ``(rows, candidates)`` block (``+inf`` = excluded),
-    ``mass`` holds one mass per row and ``boundary``, ``denom`` are the
-    block's :func:`_closed_form`.  Generic rows are computed together;
-    fallback rows go through :func:`_block_weights`.  Returns a CSR matrix
-    of the block's shape.
+    ``mass`` holds one mass per row and ``sel`` is the block's
+    :func:`_closed_form`.  A generic row's nonzero weights are
+    ``(a[k] - c) / denom`` at its picked costs ``c < a[k]``, which are all
+    of the row's costs below ``a[k]``; a tie at ``a[k]`` has zero weight.
+    Only fallback rows go through :func:`_block_weights`, one by one on the
+    whole row, where ties need the stable column order; they keep at most
+    ``k`` candidates, so they fit the row's picked slots as well.  Returns
+    ``(cols, weights)`` of the selection's shape, zero weight in unused slots;
+    the columns of each row's positive weights are ascending.
     """
-    batched = denom > DEGENERATE_DENOM
-    rows, cols = np.nonzero(costs < np.where(batched, boundary, -np.inf)[:, None])
-    weights = mass[rows] * ((boundary[rows] - costs[rows, cols]) / denom[rows])
-    parts = [(rows, cols, weights)]
+    batched = sel.denom > DEGENERATE_DENOM
+    limit = np.where(batched, sel.boundary, -np.inf)
+    rows, j = np.nonzero(sel.costs < limit[:, None])
+    cols = sel.cols.copy()
+    weights = np.zeros(cols.shape)
+    gaps = sel.boundary[rows] - sel.costs[rows, j]
+    weights[rows, j] = mass[rows] * (gaps / sel.denom[rows])
     for i in np.flatnonzero(~batched):
         cands = np.flatnonzero(np.isfinite(costs[i]))
         w = mass[i] * _block_weights(costs[i, cands], k)
-        parts.append((np.full(cands.size, i), cands, w))
-    rows, cols, weights = (np.concatenate(p) for p in zip(*parts))
+        kept = w > 0.0
+        used = np.count_nonzero(kept)
+        cols[i, :used] = cands[kept]
+        weights[i, :used] = w[kept]
+    return cols, weights
+
+
+def _csr_rows(cols, weights, n_cols):
+    """CSR matrix of each row's positive ``weights`` at ``cols`` (ascending in a row)."""
     keep = weights > 0.0
-    entries = (weights[keep], (rows[keep], cols[keep]))
-    return scipy.sparse.coo_array(entries, shape=costs.shape).tocsr()
+    indptr = np.zeros(cols.shape[0] + 1, dtype=np.intp)
+    np.cumsum(np.count_nonzero(keep, axis=1), out=indptr[1:])
+    shape = (cols.shape[0], n_cols)
+    return scipy.sparse.csr_array((weights[keep], cols[keep], indptr), shape=shape)
 
 
 def _graph_step(A, k, delta, n_source, build=True):
@@ -338,7 +378,9 @@ def _graph_step(A, k, delta, n_source, build=True):
     ``A`` is a dense cost array or a :class:`RowBlockCost` whose first
     ``n_source`` rows are source rows with the class-block / ``delta``
     split; the other rows spend unit mass over all their candidates.  Each
-    block of rows takes one :func:`_closed_form` call per candidate block.
+    block of rows takes one :func:`_closed_form` selection per candidate
+    block, and a source row's mass split comes from its source selection.
+    The rows of each row block are assembled into one CSR matrix.
 
     Returns
     -------
@@ -354,21 +396,24 @@ def _graph_step(A, k, delta, n_source, build=True):
     for start, costs in _cost_blocks(A, n_source):
         stop = start + costs.shape[0]
         if start < n_source:
-            src_mass = _source_mass(costs[:, :n_source], delta)
+            src, tgt = costs[:, :n_source], costs[:, n_source:]
+            src_sel = _closed_form(src, k)
+            src_mass = _source_mass(src_sel, delta)
             blocks = [
-                (costs[:, :n_source], src_mass),
-                (costs[:, n_source:], 1.0 - src_mass),
+                (0, src, src_sel, src_mass),
+                (n_source, tgt, _closed_form(tgt, k), 1.0 - src_mass),
             ]
         else:
-            blocks = [(costs, np.ones(stop - start))]
-        pieces = []
-        for b, (block, mass) in enumerate(blocks):
-            boundary, denom = _closed_form(block, k)
-            lam[start:stop, b] = _multipliers(denom, mass)
+            blocks = [(0, costs, _closed_form(costs, k), np.ones(stop - start))]
+        slots = []
+        for b, (first, block, sel, mass) in enumerate(blocks):
+            lam[start:stop, b] = _multipliers(sel.denom, mass)
             if build:
-                pieces.append(_block_rows(block, k, mass, boundary, denom))
+                cols, weights = _block_rows(block, k, mass, sel)
+                slots.append((cols + first, weights))
         if build:
-            parts.append(scipy.sparse.hstack(pieces, format="csr"))
+            cols, weights = (np.hstack(e) for e in zip(*slots))
+            parts.append(_csr_rows(cols, weights, costs.shape[1]))
     if not build:
         return lam, None
     if not parts:

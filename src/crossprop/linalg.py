@@ -28,11 +28,13 @@ BLOCK_BYTES = 4 << 20
 """Bytes of one row block of a distance or cost matrix (4 MiB).
 
 The graph step holds about three blocks at once (the cost buffer, the label
-cost scratch and the closed form's partition copy), which can set a fit's
-peak memory.  On a 2-core Xeon with one BLAS thread, a 3-class, 10-D fit at
-n = 3000 peaked at 106.5 MB of RSS with 8 MiB blocks, 94.3 MB with 4 MiB
-and 91.9 MB with 2 MiB, at fit times equal within run-to-run noise; an
-800-D fit at n = 1800 peaked at about 125 MB with all three.
+cost scratch and the index block of the closed form's ``np.argpartition``),
+which can set a fit's peak memory.  On a 2-core Xeon with one BLAS thread, a
+3-class, 10-D fit at n = 3000 peaked at 106.5 MB of RSS with 8 MiB blocks,
+94.3 MB with 4 MiB and 91.9 MB with 2 MiB, at fit times equal within
+run-to-run noise; an 800-D fit at n = 1800 peaked at about 125 MB with all
+three.  (Measured when the third block was a partition copy of the costs,
+which is as large as the index block.)
 """
 
 

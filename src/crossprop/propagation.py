@@ -37,12 +37,16 @@ def reachable_rows(L, n_clamped):
     """Mask of the rows after the clamped prefix that have a path to a clamped row.
 
     ``L`` is a ``csr_array`` Laplacian or weight matrix.  Its nonzero
-    entries are the edges; a stored zero is none.
+    entries are the edges; a stored zero is none.  Only a matrix that
+    stores zeros is copied to drop them; the fit's Laplacians store none,
+    because sparse addition and subtraction drop them.
     """
-    pattern = scipy.sparse.csr_array(
-        (L.data != 0.0, L.indices, L.indptr), shape=L.shape, copy=True
-    )
-    pattern.eliminate_zeros()
+    pattern = L
+    if not L.data.all():
+        pattern = scipy.sparse.csr_array(
+            (L.data != 0.0, L.indices, L.indptr), shape=L.shape, copy=True
+        )
+        pattern.eliminate_zeros()
     _, component = connected_components(pattern, directed=False)
     clamped = np.zeros(component.max(initial=-1) + 1, dtype=bool)
     clamped[component[:n_clamped]] = True
@@ -81,11 +85,13 @@ def harmonic_solve(L, clamped):
     if not reach.any():
         return F_free
     free = np.flatnonzero(reach) + n_clamped
-    rows = L[free]
+    # The reachable free rows are sliced once; in CSC both of their blocks
+    # are column selections, and L_ff is already in the form splu takes.
+    rows = L[free].tocsc()
     rhs = -(rows[:, :n_clamped] @ clamped)
     try:
         factor = splu(
-            rows[:, free].tocsc(),
+            rows[:, free],
             permc_spec="MMD_AT_PLUS_A",
             options={"SymmetricMode": True},
         )

@@ -3,7 +3,9 @@
 Costs are small integers, so ties at the boundary cost ``a[k]`` and rows
 whose nearest costs are all equal (degenerate denominators) are common;
 labels are drawn from a few classes, so singleton source classes and blocks
-no larger than ``k`` appear as well.
+no larger than ``k`` appear as well.  The selection-kernel test plants the
+same hard cases into continuous costs: ties at ``a[k]``, rows with at most
+``k`` finite costs and (nearly) flat rows with degenerate denominators.
 """
 
 import numpy as np
@@ -12,6 +14,7 @@ import scipy.sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import crossprop
 import crossprop as cp
 from crossprop.graph import quadratic_charge
 
@@ -82,6 +85,73 @@ def test_batched_rows_equal_rowwise_rows_on_real_costs(problem, seed):
     assert quadratic_charge(A, graph) == pytest.approx(
         rowwise_quadratic_charge(A, graph), rel=1e-12, abs=0.0
     )
+
+
+def plant(costs, kind, k, rng):
+    """Rewrite one candidate block of one row in place into a hard case.
+
+    ``tie`` copies the row's ``a[k]`` onto up to three larger costs, ``few``
+    leaves at most ``k`` finite costs, and ``flat`` and ``near_flat`` make
+    the ``k + 1`` smallest costs equal or equal to within 1e-15, so the
+    denominator is degenerate.
+    """
+    finite = np.flatnonzero(np.isfinite(costs))
+    ranked = finite[np.argsort(costs[finite], kind="stable")]
+    if kind == "tie" and ranked.size > k + 1:
+        above = ranked[k + 1 :]
+        picked = rng.choice(above, size=min(3, above.size), replace=False)
+        costs[picked] = costs[ranked[k]]
+    elif kind == "few":
+        size = min(finite.size, int(rng.integers(0, k + 1)))
+        kept = rng.choice(finite, size=size, replace=False)
+        costs[np.setdiff1d(finite, kept)] = np.inf
+    elif kind in ("flat", "near_flat") and ranked.size > k:
+        spread = 1e-15 if kind == "near_flat" else 0.0
+        costs[ranked[: k + 1]] = costs[ranked[0]] + spread * rng.random(k + 1)
+
+
+@st.composite
+def hard_graph_problems(draw):
+    """``(A, k, delta, source_labels, structured, rows_per_block)``, continuous costs."""
+    n_s = draw(st.integers(1, 10))
+    n_t = draw(st.integers(1, 10))
+    n = n_s + n_t
+    labels = np.array(draw(st.lists(st.integers(0, 2), min_size=n_s, max_size=n_s)))
+    structured = draw(st.booleans())
+    k = draw(st.integers(1, n + 1))
+    kinds = ("plain", "tie", "few", "flat", "near_flat")
+    row_kinds = draw(st.lists(st.sampled_from(kinds), min_size=n, max_size=n))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    A = rng.random((n, n))
+    if structured:
+        A[:n_s, :n_s][labels[:, None] != labels[None, :]] = np.inf
+    np.fill_diagonal(A, np.inf)
+    for i, kind in enumerate(row_kinds):
+        if structured and i < n_s:
+            # A source row's target costs are all finite: the row-by-row
+            # form takes the whole target block as its candidates.
+            plant(A[i, :n_s], kind, k, rng)
+            plant(A[i, n_s:], "plain" if kind == "few" else kind, k, rng)
+        else:
+            plant(A[i], kind, k, rng)
+    delta = draw(st.sampled_from([0.0, 0.8, 1.0]))
+    return A, k, delta, labels, structured, draw(st.integers(1, 3))
+
+
+@settings(max_examples=300, deadline=None)
+@given(hard_graph_problems())
+def test_selection_kernel_on_ties_sparse_rows_and_flat_rows(problem):
+    # Row blocks of one to three rows put fallback and generic rows, and
+    # source and target blocks narrower than k + 1 columns, side by side.
+    A, k, delta, labels, structured, rows_per_block = problem
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(crossprop.linalg, "BLOCK_BYTES", 8 * A.shape[1] * rows_per_block)
+        graph = cp.build_graph(A, k, delta, labels, structured=structured)
+        charge = quadratic_charge(A, graph)
+    expected = rowwise_graph_rows(A, k, delta, labels, structured=structured)
+    assert_rows_equal(graph, expected)
+    expected_charge = rowwise_quadratic_charge(A, graph)
+    assert charge == pytest.approx(expected_charge, rel=1e-12, abs=0.0)
 
 
 @settings(max_examples=200, deadline=None)

@@ -201,7 +201,8 @@ def test_fit_holds_no_n_by_n_array(monkeypatch, ablation):
 @pytest.mark.parametrize("mib", [1, 4])
 def test_graph_step_holds_about_three_row_blocks(mib):
     # The graph step's peak is its working set: the cost buffer, the label
-    # cost scratch and the closed form's partition copy, one block each.
+    # cost scratch and the index block of the closed form's argpartition,
+    # one block each.
     ds = cp.gen_synthetic_shift(
         0, per_class=500, n_classes=3, rotation_deg=35.0, shift=(2.0, 1.0)
     )
