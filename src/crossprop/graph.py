@@ -65,7 +65,7 @@ from typing import NamedTuple
 import numpy as np
 import scipy.sparse
 
-from .exceptions import ShapeError
+from .exceptions import ArgumentError, ShapeError
 from .linalg import block_rows, pairwise_sq_dists, sq_dist_operand, sq_dists_into
 
 DEGENERATE_DENOM = 1e-12
@@ -136,13 +136,10 @@ def affinity_cost(Z, F, beta, source_labels=None):
         an ``+inf`` diagonal and ``+inf`` on masked pairs.
     """
     Z = np.asarray(Z, dtype=float)
-    n = Z.shape[1]
-    _check_cost_inputs(n, F, source_labels)
+    _check_cost_inputs(Z.shape[1], F, source_labels)
     A = pairwise_sq_dists(Z)
     if F is not None and beta != 0.0:
-        label_cost = pairwise_sq_dists(np.asarray(F, dtype=float).T)
-        label_cost *= beta
-        A += label_cost
+        A += beta * pairwise_sq_dists(np.asarray(F, dtype=float).T)
     if source_labels is not None:
         source_labels = np.asarray(source_labels, dtype=int)
         n_s = source_labels.size
@@ -433,7 +430,10 @@ def build_graph(A, k, delta, source_labels, structured=True):
     With ``structured=True`` source rows use the class-block / ``delta``
     split and target rows the plain update.  With ``structured=False`` every
     row is treated like a target row (unit mass over all finite candidates).
+    Raises :class:`ArgumentError` when ``k < 1``.
     """
+    if k < 1:
+        raise ArgumentError(f"k={k} must be at least 1")
     n_s = np.asarray(source_labels).size if source_labels is not None else 0
     split = n_s if structured else 0
     lam, rows = _graph_step(A, k, delta, split)
@@ -478,10 +478,13 @@ def gaussian_knn_graph(Z, k, n_source, width=1.0):
     predefined-similarity alternative to the self-learned graph.  The
     neighbours are picked from row blocks of the distances, ties to the
     lower column (:func:`_nearest`); a row whose kernel weights all
-    underflow is uniform.
+    underflow is uniform.  Raises :class:`ArgumentError` when ``k < 1`` or
+    there are fewer than two samples.
     """
     dists = RowBlockCost(Z, None, 0.0)
     n = dists.shape[0]
+    if k < 1 or n < 2:
+        raise ArgumentError(f"k={k} with {n} samples: need k >= 1 and n >= 2")
     k_eff = min(k, n - 1)
     cols = np.empty((n, k_eff), dtype=np.intp)
     sq = np.empty((n, k_eff))
@@ -520,11 +523,9 @@ def laplacian(graph):
         ``diag(W @ 1) - W``.  Callers that need a scale-free Laplacian can
         divide by ``numpy.linalg.norm(L, 'fro')``.
     """
-    # The sparse S + S.T is densified once, without a dense S.
-    W = (graph.rows + graph.rows.T).toarray()
-    W /= 2.0
-    L = 0.0 - W
-    L[np.diag_indices_from(L)] += W.sum(axis=1)
+    S = graph.toarray()
+    W = (S + S.T) / 2.0
+    L = np.diag(W.sum(axis=1)) - W
     return W, L
 
 

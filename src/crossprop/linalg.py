@@ -61,12 +61,9 @@ def pairwise_sq_dists(Z):
     """
     Z = np.asarray(Z, dtype=float)
     G = Z.T @ Z
-    sym = G + G.T
-    sym /= 2.0
-    sq = np.diag(sym).copy()
-    D = np.add(sq[:, None], sq[None, :], out=G)  # the Gram buffer is free now
-    sym *= 2.0
-    D -= sym
+    G = (G + G.T) / 2.0
+    sq = np.diag(G)
+    D = sq[:, None] + sq[None, :] - 2.0 * G
     np.maximum(D, 0.0, out=D)
     np.fill_diagonal(D, 0.0)
     return D
@@ -135,18 +132,12 @@ def solve_spd_linear(A, B):
     B = np.asarray(B, dtype=float)
     if not np.all(np.isfinite(A)):
         raise SingularMatrix("coefficient matrix contains non-finite entries")
-    sym = A + A.T
-    sym /= 2.0
-    # ``sym`` is exactly symmetric, so ``sym.T`` is the same matrix in the
-    # Fortran order that LAPACK factors in place: no copy, and a repaired
-    # solve holds no more memory than a plain one.
+    sym = (A + A.T) / 2.0
     try:
-        factor = scipy.linalg.cho_factor(sym.T, overwrite_a=True)
+        factor = scipy.linalg.cho_factor(sym)
     except scipy.linalg.LinAlgError:
-        np.add(A, A.T, out=sym)  # the failed factorization overwrote it
-        sym /= 2.0
         try:
-            factor = scipy.linalg.cho_factor(_trace_ridge(sym).T, overwrite_a=True)
+            factor = scipy.linalg.cho_factor(_trace_ridge(sym))
         except scipy.linalg.LinAlgError as exc:
             raise SingularMatrix(
                 "matrix is not positive definite even after ridge repair"

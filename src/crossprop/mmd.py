@@ -61,9 +61,10 @@ def conditional_mmd(source_labels, target_pseudo_labels, n_classes):
     source_labels = np.asarray(source_labels, dtype=int)
     target_pseudo_labels = np.asarray(target_pseudo_labels, dtype=int)
     n = source_labels.size + target_pseudo_labels.size
-    return _add_class_blocks(
-        np.zeros((n, n)), source_labels, target_pseudo_labels, n_classes
-    )
+    M = np.zeros((n, n))
+    for members, e in _class_vectors(source_labels, target_pseudo_labels, n_classes):
+        M[np.ix_(members, members)] += np.outer(e, e)
+    return M
 
 
 def _class_vectors(source_labels, target_pseudo_labels, n_classes):
@@ -89,33 +90,15 @@ def _class_vectors(source_labels, target_pseudo_labels, n_classes):
         yield members, e
 
 
-def _add_class_blocks(M, source_labels, target_pseudo_labels, n_classes):
-    """Add every class's conditional outer product to ``M`` in place; return ``M``.
-
-    A class indicator vector is zero outside its class's members, and the
-    classes partition the samples, so each outer product is added only on its
-    own rows and columns: every entry of ``M`` receives at most one term, the
-    same sum as adding the full ``n x n`` products one after another.
-    """
-    for members, e in _class_vectors(source_labels, target_pseudo_labels, n_classes):
-        M[np.ix_(members, members)] += np.outer(e, e)
-    return M
-
-
 def discrepancy_matrix(source_labels, target_pseudo_labels, n_classes):
     """Marginal plus conditional matrix, scaled to unit Frobenius norm.
 
-    The class blocks are added into the marginal matrix and scaled in place,
-    so only one ``n x n`` array is allocated.  The marginal term is never
-    zero and the class terms are positive semi-definite, so the norm of the
-    sum is positive.
+    The marginal term is never zero and the class terms are positive
+    semi-definite, so the norm of the sum is positive.
     """
-    source_labels = np.asarray(source_labels, dtype=int)
-    target_pseudo_labels = np.asarray(target_pseudo_labels, dtype=int)
-    M = marginal_mmd(source_labels.size, target_pseudo_labels.size)
-    _add_class_blocks(M, source_labels, target_pseudo_labels, n_classes)
-    M /= np.linalg.norm(M, "fro")
-    return M
+    M = marginal_mmd(np.size(source_labels), np.size(target_pseudo_labels))
+    M = M + conditional_mmd(source_labels, target_pseudo_labels, n_classes)
+    return M / np.linalg.norm(M, "fro")
 
 
 def discrepancy_factor(source_labels, target_pseudo_labels, n_classes):

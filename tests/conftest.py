@@ -233,15 +233,15 @@ def rowwise_graph_rows(A, k, delta, source_labels, structured=True):
         return cols[keep], weights[keep]
 
     rows = []
-    target_cols = np.arange(n_s, n)
     for i in range(n_s):
         src_cands = np.flatnonzero(np.isfinite(A[i, :n_s]))
+        tgt_cands = n_s + np.flatnonzero(np.isfinite(A[i, n_s:]))
         src_weights = _block_weights(A[i, src_cands], k)
-        tgt_weights = _block_weights(A[i, target_cols], k)
+        tgt_weights = _block_weights(A[i, tgt_cands], k)
         src_mass = delta if src_cands.size else 0.0
         rows.append(
             collect(
-                np.concatenate([src_cands, target_cols]),
+                np.concatenate([src_cands, tgt_cands]),
                 np.concatenate(
                     [src_mass * src_weights, (1.0 - src_mass) * tgt_weights]
                 ),
@@ -268,10 +268,8 @@ def rowwise_quadratic_charge(A, graph):
         if i < n_s:
             src_cands = np.flatnonzero(np.isfinite(A[i, :n_s]))
             src_mass = graph.delta if src_cands.size else 0.0
-            blocks = [
-                (src_cands, src_mass),
-                (np.arange(n_s, graph.n_samples), 1.0 - src_mass),
-            ]
+            tgt_cands = n_s + np.flatnonzero(np.isfinite(A[i, n_s:]))
+            blocks = [(src_cands, src_mass), (tgt_cands, 1.0 - src_mass)]
         else:
             blocks = [(np.flatnonzero(np.isfinite(A[i])), 1.0)]
         for cands, mass in blocks:

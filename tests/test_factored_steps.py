@@ -6,6 +6,8 @@ Laplacian.  Each lean form is checked against the dense public function it
 replaces inside the fit.
 """
 
+import sys
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -13,10 +15,8 @@ import scipy.sparse
 from hypothesis import given, settings
 
 import crossprop as cp
-import crossprop.graph
-import crossprop.mmd
 import crossprop.solver
-from crossprop.solver import _graph_scale, centered_gram
+from crossprop.solver import ABLATIONS, _graph_scale, centered_gram
 from crossprop.solver import objective, solve_projection
 
 from conftest import make_dataset, random_connected_weights
@@ -121,14 +121,24 @@ def test_projection_and_objective_agree_for_factor_and_csr(rng, n_labeled):
 
 def test_fit_builds_no_dense_discrepancy_matrix_or_laplacian(rng, monkeypatch):
     def refuse(*args, **kwargs):
-        raise AssertionError("fit built a dense n x n matrix")
+        raise AssertionError("fit called a dense n x n stage")
 
-    for module in (crossprop.mmd, crossprop.graph, crossprop.solver):
-        for name in ("discrepancy_matrix", "marginal_mmd", "laplacian"):
+    dense = (
+        "discrepancy_matrix",
+        "marginal_mmd",
+        "conditional_mmd",
+        "laplacian",
+        "affinity_cost",
+        "pairwise_sq_dists",
+        "solve_spd_linear",
+    )
+    modules = [m for name, m in sys.modules.items() if name.split(".")[0] == "crossprop"]
+    for module in modules:
+        for name in dense:
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, refuse)
     ds = make_dataset(rng)
-    for ablation in ("full", "sp"):
+    for ablation in ABLATIONS:
         report = cp.fit(ds, cp.HyperParams(k=4, d=3, iterations=2, ablation=ablation))
         assert report.iterations >= 1
 

@@ -9,7 +9,7 @@ import pytest
 import scipy.sparse
 
 import crossprop as cp
-from crossprop.exceptions import ShapeError
+from crossprop.exceptions import ArgumentError, ShapeError
 from crossprop.graph import block_multiplier, quadratic_charge
 
 from conftest import (
@@ -251,6 +251,25 @@ class TestGaussianKnnGraph:
         Z = rng.standard_normal((2, 3))
         graph = cp.gaussian_knn_graph(Z, 10, n_source=0)
         assert graph.k == 2
+
+
+@pytest.mark.parametrize(
+    "builder, k, n",
+    [
+        ("build_graph", 0, 5),
+        ("build_graph", -2, 5),
+        ("gaussian_knn_graph", 0, 5),
+        ("gaussian_knn_graph", -2, 5),
+        ("gaussian_knn_graph", 1, 1),
+    ],
+)
+def test_graph_builders_reject_k_below_one_or_a_single_sample(rng, builder, k, n):
+    Z = rng.standard_normal((2, n))
+    with pytest.raises(ArgumentError):
+        if builder == "build_graph":
+            cp.build_graph(cp.affinity_cost(Z, None, 0.0), k, 0.5, None)
+        else:
+            cp.gaussian_knn_graph(Z, k, n_source=0)
 
 
 class TestLaplacian:

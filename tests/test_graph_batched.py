@@ -128,10 +128,8 @@ def hard_graph_problems(draw):
     np.fill_diagonal(A, np.inf)
     for i, kind in enumerate(row_kinds):
         if structured and i < n_s:
-            # A source row's target costs are all finite: the row-by-row
-            # form takes the whole target block as its candidates.
             plant(A[i, :n_s], kind, k, rng)
-            plant(A[i, n_s:], "plain" if kind == "few" else kind, k, rng)
+            plant(A[i, n_s:], kind, k, rng)
         else:
             plant(A[i], kind, k, rng)
     delta = draw(st.sampled_from([0.0, 0.8, 1.0]))
