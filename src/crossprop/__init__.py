@@ -38,6 +38,7 @@ from .graph import (
     gaussian_knn_graph,
     init_graph,
     laplacian,
+    row_laplacian,
     sparse_laplacian,
     write_edges,
 )
@@ -49,7 +50,7 @@ from .mmd import (
     marginal_mmd,
 )
 from .propagation import decide_labels, harmonic_solve
-from .solver import FitReport, FitState, fit, objective, solve_projection
+from .solver import FitReport, FitState, factor_scatter, fit, objective, solve_projection
 
 __version__ = "0.1.0"
 
@@ -78,6 +79,7 @@ __all__ = [
     "discrepancy_matrix",
     "conditional_mmd",
     "decide_labels",
+    "factor_scatter",
     "fit",
     "gaussian_knn_graph",
     "gen_synthetic_shift",
@@ -90,6 +92,7 @@ __all__ = [
     "objective",
     "one_hot",
     "pairwise_sq_dists",
+    "row_laplacian",
     "simplex_qp_oracle",
     "solve_projection",
     "solve_spd_linear",

@@ -6,11 +6,16 @@ package are column-major in the semantic sense: a data matrix has shape
 make no domain assumptions beyond symmetry/definiteness where stated.
 
 Nominally definite matrices such as centred Gram matrices are frequently
-semi-definite in exact arithmetic.  The factorization helpers therefore first
-attempt a plain Cholesky and, only when that fails, retry after adding a
-trace-scaled ridge ``eps * (trace(A)/k) * I``.  Repairing on demand keeps the
-residual guarantees of the common well-conditioned case intact while still
-handling rank-deficient inputs deterministically.  The graph Laplacian's
+semi-definite in exact arithmetic.  :func:`cholesky_factor` therefore first
+attempts a plain Cholesky and, only when that fails, retries once after
+adding a trace-scaled ridge ``eps * (trace(A)/k) * I``.  Repairing on demand
+keeps the residual guarantees of the common well-conditioned case intact
+while still handling rank-deficient inputs deterministically.  The
+projection step factors its scatter matrix with it once per fit and solves a
+standard symmetric eigenproblem in the whitened coordinates
+(:func:`crossprop.solver.factor_scatter`), so a rank-deficient scatter is
+repaired once per fit; :func:`solve_sym_definite_geig` is the generalized
+eigensolver that reduction is checked against.  The graph Laplacian's
 free-free block is not solved here: :mod:`crossprop.propagation` factors only
 its non-singular reachable part with a sparse LU, so no ridge touches it.
 """
@@ -104,11 +109,46 @@ def _trace_ridge(A):
     return A
 
 
-def solve_spd_linear(A, B):
-    """Solve ``A X = B`` for symmetric positive definite ``A`` via Cholesky.
+def cholesky_factor(A):
+    """Upper-triangular ``R`` with ``A = R.T @ R``, repairing ``A`` if needed.
 
-    A plain factorization is attempted first; if it fails the trace-scaled
-    ridge repair is applied once and the factorization retried.
+    A plain factorization of the upper triangle is attempted first; if it
+    fails the trace-scaled ridge repair is applied to ``A`` in place, once,
+    and the factorization retried.  The strict lower triangle of ``R`` is
+    zero.
+
+    Parameters
+    ----------
+    A : ndarray of shape (k, k)
+        Symmetric positive (semi-)definite matrix.  A caller that still needs
+        it must pass a copy, since the repair writes into it.
+
+    Returns
+    -------
+    R : ndarray of shape (k, k)
+        Fortran-ordered upper Cholesky factor.
+
+    Raises
+    ------
+    SingularMatrix
+        If ``A`` contains non-finite entries or cannot be factorized even
+        after the ridge repair.
+    """
+    if not np.all(np.isfinite(A)):
+        raise SingularMatrix("matrix contains non-finite entries")
+    try:
+        return scipy.linalg.cholesky(A, check_finite=False)
+    except scipy.linalg.LinAlgError:
+        try:
+            return scipy.linalg.cholesky(_trace_ridge(A), check_finite=False)
+        except scipy.linalg.LinAlgError as exc:
+            raise SingularMatrix(
+                "matrix is not positive definite even after ridge repair"
+            ) from exc
+
+
+def solve_spd_linear(A, B):
+    """Solve ``A X = B`` for symmetric positive definite ``A`` via :func:`cholesky_factor`.
 
     Parameters
     ----------
@@ -130,19 +170,7 @@ def solve_spd_linear(A, B):
     """
     A = np.asarray(A, dtype=float)
     B = np.asarray(B, dtype=float)
-    if not np.all(np.isfinite(A)):
-        raise SingularMatrix("coefficient matrix contains non-finite entries")
-    sym = (A + A.T) / 2.0
-    try:
-        factor = scipy.linalg.cho_factor(sym)
-    except scipy.linalg.LinAlgError:
-        try:
-            factor = scipy.linalg.cho_factor(_trace_ridge(sym))
-        except scipy.linalg.LinAlgError as exc:
-            raise SingularMatrix(
-                "matrix is not positive definite even after ridge repair"
-            ) from exc
-    return scipy.linalg.cho_solve(factor, B)
+    return scipy.linalg.cho_solve((cholesky_factor((A + A.T) / 2.0), False), B)
 
 
 def solve_sym_definite_geig(A, B, d):

@@ -11,14 +11,20 @@ Each outer iteration alternates three exact subproblem solutions:
        (X M X.T + alpha * X L X.T + gamma * I) P = X H X.T P Theta,
 
    where ``H`` is the centering matrix, so ``P.T X H X.T P = I`` keeps the
-   projected total scatter fixed.  The fit never forms an ``n x n`` ``M`` or
-   ``L``: ``M = E E.T`` enters through its ``n x r`` factor ``E``
-   (``r <= C + 1``, :func:`crossprop.mmd.discrepancy_factor`), so
-   ``X M X.T = (X E)(X E).T``; ``L`` is a ``csr_array`` with about ``2 n k``
-   entries (:func:`crossprop.graph.sparse_laplacian`), applied as
-   ``X (L X.T)``; and the scatter ``X H X.T`` is computed once per fit.
-   :func:`solve_projection` and :func:`objective` also accept a dense ``M``
-   and a dense ``L``.
+   projected total scatter fixed.  The scatter ``B = X H X.T`` is the same
+   in every iteration, so :func:`factor_scatter` factors it once per fit,
+   ``B = R.T R``, and keeps ``R^-1`` and the whitened samples
+   ``Y = R^-T X``; each iteration then solves the standard symmetric
+   eigenproblem of ``Y M Y.T + alpha * Y L Y.T + gamma * R^-T R^-1`` and
+   maps its eigenvectors back, ``P = R^-1 U``.  The fit never forms an
+   ``n x n`` ``M`` or ``L``: ``M = E E.T`` enters through its ``n x r``
+   factor ``E`` (``r <= C + 1``, :func:`crossprop.mmd.discrepancy_factor`),
+   so ``Y M Y.T = (Y E)(Y E).T``; the graph enters through the rows of
+   ``D - S`` (:func:`crossprop.graph.row_laplacian`, about ``n k``
+   entries), whose symmetric part is ``L``, as the rank-2k update
+   ``Y L Y.T = 1/2 (Y (D - S) Y.T + its transpose)``, one ``dsyr2k`` per
+   row block.  :func:`solve_projection` also accepts a dense ``M`` and a
+   dense ``L``.
 
 2. **Graph step.**  Row-wise closed-form updates of the affinity graph from
    the cost matrix ``||z_i - z_j||^2 + beta * ||F_i - F_j||^2`` (see
@@ -52,20 +58,23 @@ The loop stops early once the fraction of changed pseudo-labels drops below
 
 import numbers
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
+import scipy.linalg
 
 from .data import Dataset, HyperParams, accuracy, one_hot
-from .exceptions import ConfigError
+from .exceptions import ConfigError, DimensionError
 from .graph import (
     RowBlockCost,
     build_graph,
     gaussian_knn_graph,
     init_graph,
     quadratic_charge,
+    row_laplacian,
     sparse_laplacian,
 )
-from .linalg import solve_sym_definite_geig
+from .linalg import block_rows, cholesky_factor
 from .mmd import discrepancy_factor
 from .propagation import decide_labels, harmonic_solve
 
@@ -133,26 +142,66 @@ def _discrepancy_form(Y, M):
     return YE @ YE.T
 
 
-def solve_projection(X, M, L, alpha, gamma, d, scatter=None):
-    """Projection matrix from the generalized eigenproblem above.
+class ScatterFactor(NamedTuple):
+    """The total scatter ``X H X.T = R.T @ R``, factored once per fit.
+
+    ``inverse`` is ``R^-1``, upper triangular and Fortran-ordered;
+    ``whitened`` is ``X.T @ R^-1`` of shape ``(n, m)``, the samples in the
+    whitened coordinates ``Y = R^-T X`` as rows.
+    """
+
+    inverse: np.ndarray
+    whitened: np.ndarray
+
+
+def factor_scatter(X):
+    """:class:`ScatterFactor` of ``centered_gram(X)``; ``X`` is only read.
+
+    The scatter is factored by :func:`crossprop.linalg.cholesky_factor`, so
+    a rank-deficient one is ridge-repaired here, once, and freed afterwards.
+    ``R^-1`` overwrites ``R``, and one ``dtrmm`` writes ``R^-T X`` into a
+    new Fortran-ordered array, whose transpose is the C-ordered
+    ``whitened``.
+    """
+    inverse, _ = scipy.linalg.lapack.dtrtri(
+        cholesky_factor(centered_gram(X)), overwrite_c=1
+    )
+    whitened = scipy.linalg.blas.dtrmm(1.0, inverse, X, trans_a=1).T
+    return ScatterFactor(inverse, whitened)
+
+
+def solve_projection(X, M, L, alpha, gamma, d, factor=None):
+    """Projection matrix from the eigenproblem above, solved in whitened coordinates.
+
+    With ``B = X H X.T = R.T R`` and ``Y = R^-T X``, the pencil reduces to
+    the standard symmetric eigenproblem of
+
+        Y M Y.T + alpha * Y L Y.T + gamma * R^-T R^-1,
+
+    whose ``d`` smallest eigenvectors ``U`` give ``P = R^-1 U``.  The
+    ``gamma`` term is one ``dsyrk`` of ``R^-1``.  The graph term is
+    ``1/2 * dsyr2k(Y.T, L Y.T)``, accumulated over row blocks of ``L`` of
+    about :data:`crossprop.linalg.BLOCK_BYTES` each, so no ``n x m`` product
+    is held; it reads only the symmetric part ``(L + L.T) / 2`` of ``L``.
 
     Parameters
     ----------
     X : ndarray of shape (m, n)
         All samples as columns.
     M : ndarray of shape (n, n) or (n, r) with r < n
-        Domain-discrepancy coefficient matrix, or a factor ``E`` with
-        ``M = E @ E.T`` such as :func:`crossprop.mmd.discrepancy_factor`
+        Symmetric domain-discrepancy coefficient matrix, or a factor ``E``
+        with ``M = E @ E.T`` such as :func:`crossprop.mmd.discrepancy_factor`
         returns.  A square array is read as ``M`` itself.
     L : ndarray or scipy sparse array of shape (n, n), or None
-        Graph Laplacian contribution, applied as ``X @ (L @ X.T)``; ``None``
-        drops the graph term.
+        Graph Laplacian, or any matrix whose symmetric part it is, such as
+        :func:`crossprop.graph.row_laplacian`'s ``D - S``; dense, CSR or
+        CSC, as long as it slices by rows.  ``None`` drops the graph term.
     alpha, gamma : float
         Graph and ridge regularization weights.
     d : int
-        Projected dimension.
-    scatter : ndarray of shape (m, m), optional
-        ``centered_gram(X)``, computed here when not given; :func:`fit`
+        Projected dimension, ``1 <= d <= m``.
+    factor : ScatterFactor, optional
+        ``factor_scatter(X)``, computed here when not given; :func:`fit`
         computes it once and passes it to every iteration.
 
     Returns
@@ -161,20 +210,44 @@ def solve_projection(X, M, L, alpha, gamma, d, scatter=None):
         Columns are the ``d`` smallest-eigenvalue generalized eigenvectors,
         normalized so ``P.T @ X H X.T @ P = I``.
     """
-    m = X.shape[0]
-    left = _discrepancy_form(X, M)
+    m, n = X.shape
+    if not 1 <= d <= m:
+        raise DimensionError(f"requested {d} projection directions in {m} dimensions")
+    if factor is None:
+        factor = factor_scatter(X)
+    inverse, whitened = factor
+    blas = scipy.linalg.blas
+    # Only the upper triangle of ``left`` is updated and read from here on.
+    left = _discrepancy_form(whitened.T, M).T
+    left = blas.dsyrk(gamma, inverse, beta=1.0, c=left, trans=1, overwrite_c=1)
     if L is not None:
-        left += alpha * (X @ (L @ X.T))
-    left[np.diag_indices(m)] += gamma
-    if scatter is None:
-        scatter = centered_gram(X)
-    return solve_sym_definite_geig(left, scatter, d).vectors
+        step = block_rows(m)
+        for start in range(0, n, step):
+            rows = slice(start, start + step)
+            left = blas.dsyr2k(
+                alpha / 2.0,
+                whitened[rows].T,
+                (L[rows] @ whitened).T,
+                beta=1.0,
+                c=left,
+                overwrite_c=1,
+            )
+    _, U = scipy.linalg.eigh(
+        left, lower=False, overwrite_a=True, subset_by_index=(0, d - 1)
+    )
+    return inverse @ U
 
 
-def _edge_energy(Y, rows, cols, weights):
-    """``sum_e w_e * ||Y[row_e] - Y[col_e]||^2`` over the listed edges."""
-    diff = Y[rows] - Y[cols]
-    return float(weights @ np.einsum("ij,ij->i", diff, diff))
+def _edge_energy(S, Y):
+    """``sum_ij S[i, j] * ||Y[i] - Y[j]||^2`` from one sparse product with ``S``.
+
+    The square expands to ``(r + c) . q - 2 <Y, S Y>``, where ``r`` and
+    ``c`` are the row and column sums of ``S`` and ``q[i] = ||Y[i]||^2``,
+    so no edge's endpoints are gathered.
+    """
+    q = np.einsum("ij,ij->i", Y, Y)
+    degree = S.sum(axis=1) + S.sum(axis=0)
+    return float(degree @ q - 2.0 * np.einsum("ij,ij->", Y, S @ Y))
 
 
 def _graph_scale(L):
@@ -200,7 +273,7 @@ def objective(
 
     ``M`` is the dense ``(n, n)`` discrepancy matrix or its ``(n, r)``
     factor (``r < n``), as for :func:`solve_projection`; the graph enters
-    only through its edges, so no Laplacian is needed.
+    only through its rows, so no Laplacian is needed.
     ``graph_scale`` divides the graph-coupled terms; the fit loop passes the
     Frobenius norm of the iteration's Laplacian so the monitored value
     matches the normalized Laplacian the projection step saw.  The row
@@ -209,16 +282,14 @@ def objective(
     fit loop's graph step has already computed.  Without it they are
     computed at the evaluation point from a :class:`RowBlockCost` of
     ``P.T @ X`` and ``F``, one block of rows at a time, so no ``n x n``
-    array is built.  The graph and label energies are summed over the
-    graph's edges.
+    array is built.  The graph and label energies each take one sparse
+    product with the graph's rows.
     """
     Z = P.T @ X
-    rows, cols, weights = graph.edges()
-    graph_energy = _edge_energy(Z.T, rows, cols, weights)
+    graph_energy = _edge_energy(graph.rows, Z.T)
     label_energy = 0.0
     if F is not None:
-        F = np.asarray(F, dtype=float)
-        label_energy = _edge_energy(F, rows, cols, weights)
+        label_energy = _edge_energy(graph.rows, np.asarray(F, dtype=float))
     if cost_matrix is None:
         cost_matrix = RowBlockCost(
             Z, F, beta, source_labels if graph.structured else None
@@ -286,7 +357,7 @@ def fit(dataset, params=None, log_sink=None, on_iteration=None):
         params = HyperParams()
     d = _validate(dataset, params)
     X = dataset.features
-    scatter = centered_gram(X)
+    factor = factor_scatter(X)
     n_s = dataset.n_source
     n_l = dataset.n_labeled_target
     C = dataset.n_classes
@@ -327,13 +398,15 @@ def fit(dataset, params=None, log_sink=None, on_iteration=None):
         M = discrepancy_factor(y_s, target_estimates, C)
 
         if params.ablation == "sp":
-            P = solve_projection(X, M, None, params.alpha, params.gamma, d, scatter)
+            P = solve_projection(X, M, None, params.alpha, params.gamma, d, factor)
             Z = P.T @ X
             graph = gaussian_knn_graph(Z, params.k, n_s)
             cost = None
         else:
-            L.data /= scale  # the projection is this Laplacian's last use
-            P = solve_projection(X, M, L, params.alpha, params.gamma, d, scatter)
+            # alpha / scale weighs the Laplacian divided by its Frobenius norm.
+            P = solve_projection(
+                X, M, row_laplacian(graph), params.alpha / scale, params.gamma, d, factor
+            )
             Z = P.T @ X
             cost = RowBlockCost(Z, F, cost_beta, y_s if structured else None)
             graph = build_graph(

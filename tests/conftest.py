@@ -178,10 +178,10 @@ def check_structured_graph(graph, source_labels, k, delta, atol=1e-9):
 def oracle_graph_row(cost_row, i, n_source, k, delta, structured):
     """Independent dense reconstruction of graph row ``i`` from its costs.
 
-    Splits the row into its candidate blocks, solves each block with the
-    iterative simplex solver when it is in the generic regime, and falls
-    back to the documented uniform rules on small blocks.  Returns a dense
-    length-n weight vector.
+    Splits the row into its blocks of finite-cost candidates, solves each
+    block with the iterative simplex solver when it is in the generic
+    regime, and falls back to the documented uniform rules on small blocks.
+    Returns a dense length-n weight vector.
     """
     from crossprop import simplex_qp_oracle
 
@@ -203,7 +203,8 @@ def oracle_graph_row(cost_row, i, n_source, k, delta, structured):
         src_cands = np.flatnonzero(np.isfinite(cost_row[:n_source]))
         src_mass = delta if src_cands.size else 0.0
         solve_block(src_cands, src_mass)
-        solve_block(np.arange(n_source, n), 1.0 - src_mass)
+        tgt_cands = n_source + np.flatnonzero(np.isfinite(cost_row[n_source:]))
+        solve_block(tgt_cands, 1.0 - src_mass)
     else:
         solve_block(np.flatnonzero(np.isfinite(cost_row)), 1.0)
     return out

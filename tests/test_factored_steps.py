@@ -1,7 +1,8 @@
 """The fit's lean forms of the discrepancy matrix and the Laplacian agree with the dense ones.
 
 ``fit`` passes ``solve_projection`` and ``objective`` the ``n x r`` factor of
-the discrepancy matrix, and ``harmonic_solve`` and ``solve_projection`` a CSR
+the discrepancy matrix, ``harmonic_solve`` a CSR Laplacian and
+``solve_projection`` the CSR rows of ``D - S``, whose symmetric part is that
 Laplacian.  Each lean form is checked against the dense public function it
 replaces inside the fit.
 """
@@ -16,7 +17,7 @@ from hypothesis import given, settings
 
 import crossprop as cp
 import crossprop.solver
-from crossprop.solver import ABLATIONS, _graph_scale, centered_gram
+from crossprop.solver import ABLATIONS, _graph_scale, centered_gram, factor_scatter
 from crossprop.solver import objective, solve_projection
 
 from conftest import make_dataset, random_connected_weights
@@ -166,6 +167,6 @@ def test_a_passed_scatter_equals_the_computed_one(rng):
     E = cp.discrepancy_factor(ds.source_labels, ds.hidden_target_labels, ds.n_classes)
     L = scipy.sparse.csr_array(np.diag(np.arange(X.shape[1], dtype=float)))
     npt.assert_array_equal(
-        solve_projection(X, E, L, 1.0, 0.1, 3, centered_gram(X)),
+        solve_projection(X, E, L, 1.0, 0.1, 3, factor_scatter(X)),
         solve_projection(X, E, L, 1.0, 0.1, 3),
     )

@@ -167,6 +167,17 @@ class TestSourceRowUpdate:
             expected = oracle_graph_row(A[i], i, n_s, k, delta, structured=True)
             assert np.max(np.abs(dense - expected)) <= 1e-6
 
+    def test_oracle_takes_only_finite_target_candidates(self):
+        # Row 0's only target cost is infinite, so its 1 - delta share has
+        # no candidate and stays unassigned, in the oracle as in build_graph.
+        A = np.array([[np.inf, 0.5, np.inf], [0.5, np.inf, 0.2], [0.3, 0.4, np.inf]])
+        labels = np.array([0, 0])
+        S = cp.build_graph(A, 1, 0.8, labels).toarray()
+        npt.assert_array_equal(S[0], [0.0, 0.8, 0.0])
+        for i in range(3):
+            expected = oracle_graph_row(A[i], i, 2, 1, 0.8, structured=True)
+            npt.assert_allclose(S[i], expected, rtol=0.0, atol=1e-6)
+
     def test_lonely_class_moves_mass_to_targets(self, rng):
         labels = np.array([0, 1, 1, 1])
         A = self._cost(rng, labels, 3)
