@@ -11,7 +11,7 @@ import numpy as np
 
 from .exceptions import ArgumentError, ConvergenceError, ShapeError
 from .graph import block_multiplier
-from .linalg import block_rows, sq_dist_operand, sq_dists_into
+from .linalg import block_rows, sq_dist_operand, sq_dist_rows, sq_dists_into
 
 QP_MAX_ITER = 10_000
 QP_TOL = 1e-8
@@ -53,7 +53,8 @@ def nearest_neighbor(train_features, train_labels, test_features):
     nearest = np.empty(q, dtype=np.intp)
     for start in range(0, q, step):
         stop = min(start + step, q)
-        D = sq_dists_into(out[: stop - start], test[:, start:stop], train)
+        left = sq_dist_rows(test, np.arange(start, stop))
+        D = sq_dists_into(out[: stop - start], left, train)
         nearest[start:stop] = np.argmin(D, axis=1)
     return train_labels[nearest]
 

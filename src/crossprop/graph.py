@@ -17,9 +17,11 @@ regimes:
 
 * Target rows spend their whole unit mass over all other samples.
 * Source rows are split: a ``delta`` share goes to same-class source
-  neighbours (cross-class source pairs are excluded outright, which keeps
-  the source part of the graph exactly block-diagonal by class) and the
-  remaining ``1 - delta`` share to target neighbours.
+  neighbours and the remaining ``1 - delta`` share to target neighbours.
+  A source row's candidates are its own class's sources and the targets
+  only, so cross-class source pairs are excluded outright (their costs are
+  never computed) and the source part of the graph is exactly
+  block-diagonal by class.
 
 Every row needs only its ``k + 1`` smallest block costs, so the updates work
 on blocks of rows at once and read each cost block in one pass:
@@ -38,13 +40,18 @@ denominator, where ties need the stable column order) go through
 :func:`quadratic_charge` and :func:`block_multiplier` come from the same
 selection.
 
-The costs come in row blocks of about :data:`crossprop.linalg.BLOCK_BYTES`
-bytes, and no block spans both source and target rows.  :func:`build_graph`
-and :func:`quadratic_charge` accept a dense cost array (:func:`affinity_cost`)
-or a :class:`RowBlockCost`, which computes each block from the sample
-coordinates into one reused buffer; both go through the same per-block loop,
-:func:`_graph_step`.  The fit only uses :class:`RowBlockCost`, so it never
-builds an ``n x n`` cost matrix.  :func:`build_graph` leaves the row
+The graph step reads its costs by groups of rows that share their
+candidate columns (:func:`_row_groups`): the source rows of each class
+against that class's sources and against the targets, and the target rows
+against all samples.  Each group comes in blocks of rows of about
+:data:`crossprop.linalg.BLOCK_BYTES` bytes of candidate costs, and the
+selected local columns map back through the group's column sets.
+:func:`build_graph` and :func:`quadratic_charge` accept a dense cost array
+(:func:`affinity_cost`), read as ``A[np.ix_(rows, cols)]``, or a
+:class:`RowBlockCost`, which computes each block from the sample
+coordinates into one reused buffer; both go through the same per-block
+loop, :func:`_graph_step`.  The fit only uses :class:`RowBlockCost`, so it
+never builds an ``n x n`` cost matrix.  :func:`build_graph` leaves the row
 multipliers it computed in the :class:`RowBlockCost`, and
 :func:`quadratic_charge` reads them from there instead of running the closed
 form a second time.  :func:`gaussian_knn_graph` picks its neighbours from the
@@ -66,7 +73,13 @@ import numpy as np
 import scipy.sparse
 
 from .exceptions import ArgumentError, ShapeError
-from .linalg import block_rows, pairwise_sq_dists, sq_dist_operand, sq_dists_into
+from .linalg import (
+    block_rows,
+    pairwise_sq_dists,
+    sq_dist_operand,
+    sq_dist_rows,
+    sq_dists_into,
+)
 
 DEGENERATE_DENOM = 1e-12
 
@@ -150,14 +163,21 @@ def affinity_cost(Z, F, beta, source_labels=None):
 
 
 class RowBlockCost:
-    """The cost matrix of :func:`affinity_cost`, served a block of rows at a time.
+    """The cost matrix of :func:`affinity_cost`, served a block at a time.
 
-    Only the sample coordinates are held.  :meth:`blocks` computes each
-    block of rows from them into one buffer of about
-    :data:`crossprop.linalg.BLOCK_BYTES` bytes that the whole pass reuses,
-    so no ``n x n`` array is built.  Entries are the same costs as
+    Only the sample coordinates are held.  :meth:`blocks` computes the costs
+    of a few rows against their candidate column sets into one buffer of
+    about :data:`crossprop.linalg.BLOCK_BYTES` bytes that the whole pass
+    reuses, so no ``n x n`` array is built.  Entries are the same costs as
     :func:`affinity_cost` up to rounding (exactly the same for integer
     coordinates and soft labels).
+
+    There is no mask.  With ``source_labels`` the graph step hands a source
+    row only its own class's sources and the targets as candidates
+    (:func:`_row_groups`), so the cross-class source pairs that
+    :func:`affinity_cost` sets to ``+inf`` are never computed.
+    :meth:`finite` still tells :func:`quadratic_charge` which of a graph's
+    edges have a finite cost.
 
     :func:`build_graph` stores the row multipliers it computed in
     ``multipliers``, keyed by ``(k, n_source, delta)``, and
@@ -179,31 +199,49 @@ class RowBlockCost:
             self.source_labels = np.asarray(source_labels, dtype=int)
         self.multipliers = {}
 
-    def blocks(self, ranges):
-        """Yield ``(start, costs)`` for each ``(start, stop)`` row range.
+    def blocks(self, groups):
+        """Yield ``(rows, col_sets, costs)`` for each row chunk of each group.
 
-        ``costs`` is a view of the pass's buffer that the next block
-        overwrites.
+        ``groups`` holds ``(chunks, col_sets)`` pairs: arrays of row indices
+        and the ascending arrays of column indices they are read against.
+        ``costs`` lists one ``(len(rows), len(cols))`` block per column set,
+        views of the pass's buffer that the next chunk overwrites; a row's
+        own column costs ``+inf``.  A set of consecutive columns is read as a
+        view of the coordinates, any other set is gathered once per group.
         """
-        most = max((stop - start for start, stop in ranges), default=0)
-        out = np.empty((most, self.shape[1]))
-        scratch = np.empty_like(out) if self._f is not None else None
-        for start, stop in ranges:
-            rows = stop - start
-            costs = sq_dists_into(out[:rows], self._z[:, start:stop], self._z)
-            if self._f is not None:
-                label_cost = sq_dists_into(scratch[:rows], self._f[:, start:stop], self._f)
-                label_cost *= self.beta
-                costs += label_cost
-            if self.source_labels is not None and start < self.source_labels.size:
-                labels = self.source_labels
-                src = costs[: labels.size - start, : labels.size]
-                src[labels[start:stop, None] != labels[None, :]] = np.inf
-            costs[np.arange(rows), np.arange(start, stop)] = np.inf
-            yield start, costs
+        operands = [self._z] if self._f is None else [self._z, self._f]
+        sizes = [
+            [rows.size * cols.size for cols in col_sets]
+            for chunks, col_sets in groups
+            for rows in chunks
+        ]
+        out = np.empty(max(map(sum, sizes), default=0))
+        if self._f is not None:
+            scratch = np.empty(max(map(max, sizes), default=0))
+        for chunks, col_sets in groups:
+            columns = [[_columns(op, cols) for op in operands] for cols in col_sets]
+            for rows in chunks:
+                left = [sq_dist_rows(op, rows) for op in operands]
+                costs, at = [], 0
+                for cols, right in zip(col_sets, columns):
+                    block = out[at : at + rows.size * cols.size].reshape(rows.size, -1)
+                    at += block.size
+                    sq_dists_into(block, left[0], right[0])
+                    if self._f is not None:
+                        label_cost = scratch[: block.size].reshape(block.shape)
+                        sq_dists_into(label_cost, left[1], right[1])
+                        label_cost *= self.beta
+                        block += label_cost
+                    pos = np.searchsorted(cols, rows)
+                    own = pos < cols.size
+                    own[own] = cols[pos[own]] == rows[own]
+                    block[own, pos[own]] = np.inf
+                    costs.append(block)
+                del left  # not held while the caller selects from the blocks
+                yield rows, col_sets, costs
 
     def finite(self, rows, cols):
-        """Whether the costs at ``(rows, cols)`` are finite: off the diagonal, not masked."""
+        """Whether the costs at ``(rows, cols)`` are finite: off the diagonal, same class."""
         ok = rows != cols
         labels = self.source_labels
         if labels is not None:
@@ -212,22 +250,58 @@ class RowBlockCost:
         return ok
 
 
-def _cost_blocks(A, n_source):
-    """``(start, costs)`` row blocks of a dense cost array or a :class:`RowBlockCost`.
+def _columns(operand, cols):
+    """The columns ``cols`` (ascending) of ``operand``: a view when they are consecutive."""
+    if cols.size and cols[-1] - cols[0] + 1 == cols.size:
+        return operand[:, cols[0] : cols[-1] + 1]
+    return operand[:, cols]
 
-    Blocks hold at most :func:`crossprop.linalg.block_rows` rows, and none
-    holds both rows below and rows from ``n_source`` on.
+
+def _row_groups(n, n_source, labels):
+    """The graph step's rows in groups that share their candidate column sets.
+
+    Returns ``(rows, col_sets)`` pairs, both ascending index arrays.
+    ``labels`` are the classes of the first ``labels.size`` samples, the
+    sources; without them the first ``n_source`` samples form one class.  A
+    source row of class ``c`` has the sources ``flatnonzero(labels == c)``
+    and the targets as candidates: as two column sets when ``n_source`` is
+    nonzero (the class-block / ``delta`` split), as one otherwise.  Every
+    other row has all ``n`` columns.
     """
-    n_rows, n_cols = A.shape
-    step = block_rows(n_cols)
-    ranges = [
-        (start, min(start + step, stop))
-        for first, stop in ((0, n_source), (n_source, n_rows))
-        for start in range(first, stop, step)
-    ]
+    if labels is None:
+        labels = np.zeros(n_source, dtype=int)
+    elif n_source not in (0, labels.size):
+        raise ShapeError(f"{labels.size} source labels for {n_source} source rows")
+    everything = np.arange(n)
+    targets = everything[labels.size :]
+    groups = []
+    for c in np.unique(labels):
+        same = np.flatnonzero(labels == c)
+        sets = (same, targets) if n_source else (np.concatenate([same, targets]),)
+        groups.append((same, sets))
+    return groups + [(targets, (everything,))]
+
+
+def _cost_blocks(A, groups):
+    """``(rows, col_sets, costs)`` for each block of rows of each of ``groups``.
+
+    ``A`` is a dense cost array, read as ``A[np.ix_(rows, cols)]``, or a
+    :class:`RowBlockCost`, which computes the blocks.  ``costs`` lists one
+    block per column set.  A block holds at most
+    :func:`crossprop.linalg.block_rows` rows of its group's candidate width.
+    """
+    chunked = []
+    for rows, col_sets in groups:
+        step = block_rows(sum(cols.size for cols in col_sets))
+        chunks = [rows[i : i + step] for i in range(0, rows.size, step)]
+        chunked.append((chunks, col_sets))
     if isinstance(A, RowBlockCost):
-        return A.blocks(ranges)
-    return ((start, A[start:stop]) for start, stop in ranges)
+        return A.blocks(chunked)
+    return (
+        (rows, col_sets, [A[np.ix_(rows, cols)] for cols in col_sets])
+        for chunks, col_sets in chunked
+        for rows in chunks
+    )
 
 
 def _block_weights(costs, k):
@@ -369,15 +443,18 @@ def _csr_rows(cols, weights, n_cols):
     return scipy.sparse.csr_array((weights[keep], cols[keep], indptr), shape=shape)
 
 
-def _graph_step(A, k, delta, n_source, build=True):
-    """The closed form of every row of ``A``, one row block at a time.
+def _graph_step(A, k, delta, n_source, labels, build=True):
+    """The closed form of every row of ``A``, one block of rows at a time.
 
-    ``A`` is a dense cost array or a :class:`RowBlockCost` whose first
-    ``n_source`` rows are source rows with the class-block / ``delta``
-    split; the other rows spend unit mass over all their candidates.  Each
-    block of rows takes one :func:`_closed_form` selection per candidate
-    block, and a source row's mass split comes from its source selection.
-    The rows of each row block are assembled into one CSR matrix.
+    ``A`` is a dense cost array or a :class:`RowBlockCost`.  Its rows come
+    in the groups of :func:`_row_groups`: the first ``n_source`` rows are
+    source rows with the class-block / ``delta`` split, the others spend
+    unit mass over all their candidates, and ``labels`` narrow the source
+    rows' candidates to their own class.  Each block of rows takes one
+    :func:`_closed_form` selection per candidate column set, whose picked
+    local columns map back through the set, and a split row's mass comes
+    from its source selection.  Each block of rows becomes one CSR part,
+    and one row permutation puts the parts' rows back in order.
 
     Returns
     -------
@@ -388,34 +465,41 @@ def _graph_step(A, k, delta, n_source, build=True):
     rows : csr_array of A's shape, or None
         The graph rows, built only when ``build`` is true.
     """
-    lam = np.zeros((A.shape[0], 2))
-    parts = []
-    for start, costs in _cost_blocks(A, n_source):
-        stop = start + costs.shape[0]
-        if start < n_source:
-            src, tgt = costs[:, :n_source], costs[:, n_source:]
-            src_sel = _closed_form(src, k)
-            src_mass = _source_mass(src_sel, delta)
-            blocks = [
-                (0, src, src_sel, src_mass),
-                (n_source, tgt, _closed_form(tgt, k), 1.0 - src_mass),
-            ]
+    n = A.shape[0]
+    lam = np.zeros((n, 2))
+    parts, order = [], []
+    for rows, col_sets, costs in _cost_blocks(A, _row_groups(n, n_source, labels)):
+        sels = [_closed_form(block, k) for block in costs]
+        if len(costs) == 2:
+            src_mass = _source_mass(sels[0], delta)
+            masses = [src_mass, 1.0 - src_mass]
         else:
-            blocks = [(0, costs, _closed_form(costs, k), np.ones(stop - start))]
+            masses = [np.ones(rows.size)]
         slots = []
-        for b, (first, block, sel, mass) in enumerate(blocks):
-            lam[start:stop, b] = _multipliers(sel.denom, mass)
+        blocks = zip(costs, sels, masses, col_sets)
+        for b, (block, sel, mass, cols) in enumerate(blocks):
+            lam[rows, b] = _multipliers(sel.denom, mass)
             if build:
-                cols, weights = _block_rows(block, k, mass, sel)
-                slots.append((cols + first, weights))
+                local, weights = _block_rows(block, k, mass, sel)
+                slots.append((cols[local], weights))
         if build:
             cols, weights = (np.hstack(e) for e in zip(*slots))
-            parts.append(_csr_rows(cols, weights, costs.shape[1]))
+            parts.append(_csr_rows(cols, weights, n))
+            order.append(rows)
     if not build:
         return lam, None
     if not parts:
         return lam, scipy.sparse.csr_array(A.shape)
-    return lam, scipy.sparse.vstack(parts, format="csr")
+    S = scipy.sparse.vstack(parts, format="csr")
+    order = np.concatenate(order)
+    if np.any(order[1:] < order[:-1]):
+        S = S[np.argsort(order)]
+    return lam, S
+
+
+def _cost_labels(A):
+    """The source classes whose cross pairs ``A`` excludes, if it names them."""
+    return A.source_labels if isinstance(A, RowBlockCost) else None
 
 
 def build_graph(A, k, delta, source_labels, structured=True):
@@ -428,15 +512,24 @@ def build_graph(A, k, delta, source_labels, structured=True):
     :func:`quadratic_charge`.
 
     With ``structured=True`` source rows use the class-block / ``delta``
-    split and target rows the plain update.  With ``structured=False`` every
-    row is treated like a target row (unit mass over all finite candidates).
-    Raises :class:`ArgumentError` when ``k < 1``.
+    split and target rows the plain update; a source row's source
+    candidates are the other sources of its class in ``source_labels``,
+    whatever ``A`` holds for the other classes.  With ``structured=False``
+    every row is treated like a target row (unit mass over all finite
+    candidates).  Raises :class:`ArgumentError` when ``k < 1`` or ``delta``
+    is not in ``[0, 1]``.
     """
     if k < 1:
         raise ArgumentError(f"k={k} must be at least 1")
+    if not 0.0 <= delta <= 1.0:
+        raise ArgumentError(f"delta={delta} must lie in [0, 1]")
     n_s = np.asarray(source_labels).size if source_labels is not None else 0
-    split = n_s if structured else 0
-    lam, rows = _graph_step(A, k, delta, split)
+    if structured and n_s:
+        _check_cost_inputs(A.shape[0], None, source_labels)
+        split, labels = n_s, np.asarray(source_labels, dtype=int)
+    else:
+        split, labels = 0, _cost_labels(A)
+    lam, rows = _graph_step(A, k, delta, split, labels)
     if isinstance(A, RowBlockCost):
         A.multipliers[(k, split, delta)] = lam
     return AffinityGraph(
@@ -488,9 +581,8 @@ def gaussian_knn_graph(Z, k, n_source, width=1.0):
     k_eff = min(k, n - 1)
     cols = np.empty((n, k_eff), dtype=np.intp)
     sq = np.empty((n, k_eff))
-    for start, D in _cost_blocks(dists, 0):
-        stop = start + D.shape[0]
-        cols[start:stop], sq[start:stop] = _nearest(D, k_eff)
+    for rows, _, (D,) in _cost_blocks(dists, _row_groups(n, 0, None)):
+        cols[rows], sq[rows] = _nearest(D, k_eff)
     weights = np.exp(-sq / (2.0 * width**2))
     total = weights.sum(axis=1)
     vanished = total <= 0.0
@@ -564,15 +656,19 @@ def quadratic_charge(A, graph):
     :class:`RowBlockCost` that :func:`build_graph` read with the graph's
     ``k``, ``delta`` and block structure hands over the multipliers it kept;
     otherwise they are computed with the same block loop, and fallback rows
-    carry ``lam = 0``.  The block sums of squared weights come from the
-    graph's flat edge arrays, counting only edges with a finite cost.
+    carry ``lam = 0``.  There the source candidates come from the classes
+    of a :class:`RowBlockCost`; a dense cost names no classes, so its
+    ``+inf`` entries exclude them.  The block sums of squared weights come
+    from the graph's flat edge arrays, counting only edges with a finite
+    cost.
     """
     n_s = graph.n_source if graph.structured else 0
     key = (graph.k, n_s, graph.delta)
     if isinstance(A, RowBlockCost) and key in A.multipliers:
         lam = A.multipliers[key]
     else:
-        lam, _ = _graph_step(A, graph.k, graph.delta, n_s, build=False)
+        labels = _cost_labels(A)
+        lam, _ = _graph_step(A, graph.k, graph.delta, n_s, labels, build=False)
     rows, cols, weights = graph.edges()
     block = (rows < n_s) & (cols >= n_s)
     if isinstance(A, RowBlockCost):

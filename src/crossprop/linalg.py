@@ -32,13 +32,15 @@ RIDGE_EPS = 1e-6
 BLOCK_BYTES = 4 << 20
 """Bytes of one row block of a distance or cost matrix (4 MiB).
 
-The graph step holds about three blocks at once (the cost buffer, the label
-cost scratch and the index block of the closed form's ``np.argpartition``),
-which can set a fit's peak memory.  On a 2-core Xeon with one BLAS thread, a
-3-class, 10-D fit at n = 3000 peaked at 106.5 MB of RSS with 8 MiB blocks,
-94.3 MB with 4 MiB and 91.9 MB with 2 MiB, at fit times equal within
-run-to-run noise; an 800-D fit at n = 1800 peaked at about 125 MB with all
-three.  (Measured when the third block was a partition copy of the costs,
+A block holds as many rows as fit in this many bytes of their candidate
+costs: all ``n`` columns for a target row, its class's sources plus the
+targets for a source row of the graph step.  The graph step holds about
+three blocks at once (the cost buffer, the label cost scratch and the index
+block of the closed form's ``np.argpartition``), which can set a fit's peak
+memory.  On a 2-core Xeon with one BLAS thread, a 3-class, 10-D fit at
+n = 3000 peaked at 106.5 MB of RSS with 8 MiB blocks, 94.3 MB with 4 MiB
+and 91.9 MB with 2 MiB, at fit times equal within run-to-run noise; an
+800-D fit at n = 1800 peaked at about 125 MB with all three.  (Measured when the third block was a partition copy of the costs,
 which is as large as the index block.)
 """
 
@@ -86,17 +88,31 @@ def sq_dist_operand(Z):
     return np.vstack([Z, ones, np.einsum("ij,ij->j", Z, Z)[None, :]])
 
 
-def sq_dists_into(out, A, B):
+def sq_dist_rows(B, rows):
+    """``[-2 a; ||a||^2; 1]`` of the :func:`sq_dist_operand` columns ``rows`` of ``B``.
+
+    ``rows`` is an array of column indices.  The gather is the only copy:
+    the result is scaled and its last two rows swapped in place, and ``B``
+    is left as it was.  It is the left operand of :func:`sq_dists_into` and
+    keeps the memory order of ``B`` (``np.take`` would first copy a
+    Fortran-ordered ``B`` whole, while indexing gathers from it directly).
+    """
+    left = B[:, rows] if B.flags.f_contiguous else np.take(B, rows, axis=1)
+    left[:-2] *= -2.0
+    left[-2:] = left[:-3:-1].copy()
+    return left
+
+
+def sq_dists_into(out, left, B):
     """Write the squared distances between two sets of points into ``out``.
 
-    ``A`` and ``B`` are :func:`sq_dist_operand` columns of ``p`` and ``q``
-    points, ``out`` a ``(p, q)`` buffer.  One matrix product of
-    ``[-2 a; ||a||^2; 1]`` with ``[b; 1; ||b||^2]`` gives every
-    ``||a||^2 + ||b||^2 - 2 a.b``, which is clipped at zero.  Integer
-    coordinates give the same exact values as :func:`pairwise_sq_dists`.
-    Returns ``out``.
+    ``left`` holds ``p`` points as :func:`sq_dist_rows` returns them and
+    ``B`` the :func:`sq_dist_operand` columns of ``q`` points, ``out`` is a
+    ``(p, q)`` buffer.  One matrix product of ``[-2 a; ||a||^2; 1]`` with
+    ``[b; 1; ||b||^2]`` gives every ``||a||^2 + ||b||^2 - 2 a.b``, which is
+    clipped at zero.  Integer coordinates give the same exact values as
+    :func:`pairwise_sq_dists`.  Returns ``out``.
     """
-    left = np.vstack([-2.0 * A[:-2], A[:-3:-1]])
     np.matmul(left.T, B, out=out)
     np.maximum(out, 0.0, out=out)
     return out
