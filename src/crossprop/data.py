@@ -22,6 +22,7 @@ generator), which is seedable and produces identical streams across
 platforms.
 """
 
+import numbers
 import struct
 from dataclasses import dataclass, field
 
@@ -431,8 +432,12 @@ def with_labeled_targets(dataset, per_class):
 
     The first ``per_class`` target samples of each class (by ground truth)
     move to the front of the target block and become labeled; the remainder
-    stay unlabeled.  Requires ``hidden_target_labels``.
+    stay unlabeled.  Requires ``hidden_target_labels`` and a positive
+    integer ``per_class``.
     """
+    integral = isinstance(per_class, numbers.Integral) and not isinstance(per_class, bool)
+    if not integral or per_class < 1:
+        raise ArgumentError(f"per_class={per_class!r} must be a positive integer")
     if dataset.hidden_target_labels is None:
         raise ArgumentError("with_labeled_targets requires hidden_target_labels")
     if dataset.n_labeled_target != 0:

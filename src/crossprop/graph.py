@@ -21,7 +21,8 @@ regimes:
   A source row's candidates are its own class's sources and the targets
   only, so cross-class source pairs are excluded outright (their costs are
   never computed) and the source part of the graph is exactly
-  block-diagonal by class.
+  block-diagonal by class.  Only :func:`build_graph`'s source labels
+  decide this split, and the graph records them.
 
 Every row needs only its ``k + 1`` smallest block costs, so the updates work
 on blocks of rows at once and read each cost block in one pass:
@@ -64,6 +65,7 @@ the CLI.  The solver's Laplacian is a ``csr_array`` too
 inspection and tests.
 """
 
+import numbers
 import os
 import sys
 from dataclasses import dataclass
@@ -93,7 +95,8 @@ class AffinityGraph:
     each row's weights sum to one.  The self-learned graphs store only
     positive weights; a Gaussian kernel graph may also store weights that
     underflowed to zero.  ``structured`` records whether source rows were
-    built with the class-block / ``delta`` split.
+    built with the class-block / ``delta`` split, and ``source_labels`` the
+    classes that split them (``None`` for an unstructured or Gaussian graph).
     """
 
     rows: scipy.sparse.csr_array
@@ -101,6 +104,7 @@ class AffinityGraph:
     k: int
     delta: float
     structured: bool
+    source_labels: np.ndarray | None = None
 
     @property
     def n_samples(self):
@@ -116,11 +120,18 @@ class AffinityGraph:
         return self.rows.toarray()
 
 
-def _check_cost_inputs(n, F, source_labels):
+def _check_cost_inputs(n, F, source_labels, beta=0.0):
     if F is not None and np.asarray(F).shape[0] != n:
         raise ShapeError("soft labels must have one row per sample")
     if source_labels is not None and np.asarray(source_labels).size > n:
         raise ShapeError("more source labels than samples")
+    if not 0.0 <= beta < np.inf:
+        raise ArgumentError(f"beta={beta} must be finite and non-negative")
+
+
+def _check_k(k):
+    if isinstance(k, bool) or not isinstance(k, numbers.Integral) or k < 1:
+        raise ArgumentError(f"k={k!r} must be an integer of at least 1")
 
 
 def affinity_cost(Z, F, beta, source_labels=None):
@@ -137,7 +148,7 @@ def affinity_cost(Z, F, beta, source_labels=None):
     F : ndarray of shape (n, C) or None
         Current soft labels; when ``None`` the label term is omitted.
     beta : float
-        Weight of the soft-label distance term.
+        Weight of the soft-label distance term, finite and non-negative.
     source_labels : ndarray of shape (n_s,), optional
         When given, entries between source samples of different classes are
         masked to ``+inf`` (the block-diagonal constraint).
@@ -149,7 +160,7 @@ def affinity_cost(Z, F, beta, source_labels=None):
         an ``+inf`` diagonal and ``+inf`` on masked pairs.
     """
     Z = np.asarray(Z, dtype=float)
-    _check_cost_inputs(Z.shape[1], F, source_labels)
+    _check_cost_inputs(Z.shape[1], F, source_labels, beta)
     A = pairwise_sq_dists(Z)
     if F is not None and beta != 0.0:
         A += beta * pairwise_sq_dists(np.asarray(F, dtype=float).T)
@@ -163,7 +174,7 @@ def affinity_cost(Z, F, beta, source_labels=None):
 
 
 class RowBlockCost:
-    """The cost matrix of :func:`affinity_cost`, served a block at a time.
+    """The unmasked cost matrix of :func:`affinity_cost`, served a block at a time.
 
     Only the sample coordinates are held.  :meth:`blocks` computes the costs
     of a few rows against their candidate column sets into one buffer of
@@ -172,31 +183,25 @@ class RowBlockCost:
     :func:`affinity_cost` up to rounding (exactly the same for integer
     coordinates and soft labels).
 
-    There is no mask.  With ``source_labels`` the graph step hands a source
-    row only its own class's sources and the targets as candidates
-    (:func:`_row_groups`), so the cross-class source pairs that
-    :func:`affinity_cost` sets to ``+inf`` are never computed.
-    :meth:`finite` still tells :func:`quadratic_charge` which of a graph's
-    edges have a finite cost.
+    There is no mask: the only infinite cost is the diagonal, which no graph
+    stores.  The graph step hands a structured source row only its own
+    class's sources and the targets as candidates (:func:`_row_groups`), so
+    the cross-class source pairs are never computed.
 
     :func:`build_graph` stores the row multipliers it computed in
-    ``multipliers``, keyed by ``(k, n_source, delta)``, and
-    :func:`quadratic_charge` reads them from there instead of running the
-    closed form again.
+    ``multipliers``, keyed by :func:`_step_key`, and :func:`quadratic_charge`
+    reads them from there instead of running the closed form again.
     """
 
-    def __init__(self, Z, F, beta, source_labels=None):
+    def __init__(self, Z, F, beta):
         n = np.shape(Z)[1]
-        _check_cost_inputs(n, F, source_labels)
+        _check_cost_inputs(n, F, None, beta)
         self.shape = (n, n)
         self._z = sq_dist_operand(Z)
         self.beta = float(beta)
         self._f = None
         if F is not None and beta != 0.0:
             self._f = sq_dist_operand(np.asarray(F, dtype=float).T)
-        self.source_labels = None
-        if source_labels is not None:
-            self.source_labels = np.asarray(source_labels, dtype=int)
         self.multipliers = {}
 
     def blocks(self, groups):
@@ -240,15 +245,6 @@ class RowBlockCost:
                 del left  # not held while the caller selects from the blocks
                 yield rows, col_sets, costs
 
-    def finite(self, rows, cols):
-        """Whether the costs at ``(rows, cols)`` are finite: off the diagonal, same class."""
-        ok = rows != cols
-        labels = self.source_labels
-        if labels is not None:
-            src = (rows < labels.size) & (cols < labels.size)
-            ok[src] &= labels[rows[src]] == labels[cols[src]]
-        return ok
-
 
 def _columns(operand, cols):
     """The columns ``cols`` (ascending) of ``operand``: a view when they are consecutive."""
@@ -257,28 +253,23 @@ def _columns(operand, cols):
     return operand[:, cols]
 
 
-def _row_groups(n, n_source, labels):
+def _row_groups(n, labels):
     """The graph step's rows in groups that share their candidate column sets.
 
     Returns ``(rows, col_sets)`` pairs, both ascending index arrays.
     ``labels`` are the classes of the first ``labels.size`` samples, the
-    sources; without them the first ``n_source`` samples form one class.  A
-    source row of class ``c`` has the sources ``flatnonzero(labels == c)``
-    and the targets as candidates: as two column sets when ``n_source`` is
-    nonzero (the class-block / ``delta`` split), as one otherwise.  Every
-    other row has all ``n`` columns.
+    sources, or ``None``.  A source row of class ``c`` has two column sets,
+    the sources ``flatnonzero(labels == c)`` and the targets (the
+    class-block / ``delta`` split).  Every other row has all ``n`` columns.
     """
-    if labels is None:
-        labels = np.zeros(n_source, dtype=int)
-    elif n_source not in (0, labels.size):
-        raise ShapeError(f"{labels.size} source labels for {n_source} source rows")
     everything = np.arange(n)
+    if labels is None:
+        return [(everything, (everything,))]
     targets = everything[labels.size :]
-    groups = []
-    for c in np.unique(labels):
-        same = np.flatnonzero(labels == c)
-        sets = (same, targets) if n_source else (np.concatenate([same, targets]),)
-        groups.append((same, sets))
+    groups = [
+        (same, (same, targets))
+        for same in (np.flatnonzero(labels == c) for c in np.unique(labels))
+    ]
     return groups + [(targets, (everything,))]
 
 
@@ -443,18 +434,17 @@ def _csr_rows(cols, weights, n_cols):
     return scipy.sparse.csr_array((weights[keep], cols[keep], indptr), shape=shape)
 
 
-def _graph_step(A, k, delta, n_source, labels, build=True):
+def _graph_step(A, k, delta, labels, build=True):
     """The closed form of every row of ``A``, one block of rows at a time.
 
     ``A`` is a dense cost array or a :class:`RowBlockCost`.  Its rows come
-    in the groups of :func:`_row_groups`: the first ``n_source`` rows are
-    source rows with the class-block / ``delta`` split, the others spend
-    unit mass over all their candidates, and ``labels`` narrow the source
-    rows' candidates to their own class.  Each block of rows takes one
-    :func:`_closed_form` selection per candidate column set, whose picked
-    local columns map back through the set, and a split row's mass comes
-    from its source selection.  Each block of rows becomes one CSR part,
-    and one row permutation puts the parts' rows back in order.
+    in the groups of :func:`_row_groups`: the first ``labels.size`` rows
+    take the class-block / ``delta`` split, the others (all rows without
+    ``labels``) spend unit mass over all their candidates.  Each block of
+    rows takes one :func:`_closed_form` selection per candidate column set,
+    whose picked local columns map back through the set, and a split row's
+    mass comes from its source selection.  Each block of rows becomes one
+    CSR part, and one row permutation puts the parts' rows back in order.
 
     Returns
     -------
@@ -468,7 +458,7 @@ def _graph_step(A, k, delta, n_source, labels, build=True):
     n = A.shape[0]
     lam = np.zeros((n, 2))
     parts, order = [], []
-    for rows, col_sets, costs in _cost_blocks(A, _row_groups(n, n_source, labels)):
+    for rows, col_sets, costs in _cost_blocks(A, _row_groups(n, labels)):
         sels = [_closed_form(block, k) for block in costs]
         if len(costs) == 2:
             src_mass = _source_mass(sels[0], delta)
@@ -497,9 +487,9 @@ def _graph_step(A, k, delta, n_source, labels, build=True):
     return lam, S
 
 
-def _cost_labels(A):
-    """The source classes whose cross pairs ``A`` excludes, if it names them."""
-    return A.source_labels if isinstance(A, RowBlockCost) else None
+def _step_key(k, delta, labels):
+    """Key of the multipliers of one graph step in :attr:`RowBlockCost.multipliers`."""
+    return k, delta, None if labels is None else labels.tobytes()
 
 
 def build_graph(A, k, delta, source_labels, structured=True):
@@ -514,37 +504,35 @@ def build_graph(A, k, delta, source_labels, structured=True):
     With ``structured=True`` source rows use the class-block / ``delta``
     split and target rows the plain update; a source row's source
     candidates are the other sources of its class in ``source_labels``,
-    whatever ``A`` holds for the other classes.  With ``structured=False``
-    every row is treated like a target row (unit mass over all finite
-    candidates).  Raises :class:`ArgumentError` when ``k < 1`` or ``delta``
-    is not in ``[0, 1]``.
+    whatever ``A`` holds for the other classes, and the graph records those
+    labels.  With ``structured=False`` every row is treated like a target
+    row (unit mass over all finite candidates).  Raises
+    :class:`ArgumentError` when ``k`` is not an integer of at least 1 or
+    ``delta`` is not in ``[0, 1]``.
     """
-    if k < 1:
-        raise ArgumentError(f"k={k} must be at least 1")
+    _check_k(k)
     if not 0.0 <= delta <= 1.0:
         raise ArgumentError(f"delta={delta} must lie in [0, 1]")
-    n_s = np.asarray(source_labels).size if source_labels is not None else 0
-    if structured and n_s:
-        _check_cost_inputs(A.shape[0], None, source_labels)
-        split, labels = n_s, np.asarray(source_labels, dtype=int)
-    else:
-        split, labels = 0, _cost_labels(A)
-    lam, rows = _graph_step(A, k, delta, split, labels)
+    labels = None
+    if structured and source_labels is not None:
+        labels = np.asarray(source_labels, dtype=int)
+        _check_cost_inputs(A.shape[0], None, labels)
+    lam, rows = _graph_step(A, k, delta, labels)
     if isinstance(A, RowBlockCost):
-        A.multipliers[(k, split, delta)] = lam
+        A.multipliers[_step_key(k, delta, labels)] = lam
     return AffinityGraph(
         rows=rows,
-        n_source=n_s,
+        n_source=np.asarray(source_labels).size if source_labels is not None else 0,
         k=k,
         delta=delta,
         structured=structured,
+        source_labels=labels,
     )
 
 
 def init_graph(X, k, delta, source_labels, structured=True):
     """Initial graph built from raw-feature distances only (no label term)."""
-    A = RowBlockCost(X, None, 0.0, source_labels if structured else None)
-    return build_graph(A, k, delta, source_labels, structured=structured)
+    return build_graph(RowBlockCost(X, None, 0.0), k, delta, source_labels, structured)
 
 
 def _nearest(costs, k):
@@ -571,17 +559,21 @@ def gaussian_knn_graph(Z, k, n_source, width=1.0):
     predefined-similarity alternative to the self-learned graph.  The
     neighbours are picked from row blocks of the distances, ties to the
     lower column (:func:`_nearest`); a row whose kernel weights all
-    underflow is uniform.  Raises :class:`ArgumentError` when ``k < 1`` or
-    there are fewer than two samples.
+    underflow is uniform.  Raises :class:`ArgumentError` when ``k`` is not
+    an integer of at least 1, ``width`` is not finite and positive, or there
+    are fewer than two samples.
     """
+    _check_k(k)
+    if not 0.0 < width < np.inf:
+        raise ArgumentError(f"width={width} must be finite and positive")
     dists = RowBlockCost(Z, None, 0.0)
     n = dists.shape[0]
-    if k < 1 or n < 2:
-        raise ArgumentError(f"k={k} with {n} samples: need k >= 1 and n >= 2")
+    if n < 2:
+        raise ArgumentError(f"{n} samples: need at least 2")
     k_eff = min(k, n - 1)
     cols = np.empty((n, k_eff), dtype=np.intp)
     sq = np.empty((n, k_eff))
-    for rows, _, (D,) in _cost_blocks(dists, _row_groups(n, 0, None)):
+    for rows, _, (D,) in _cost_blocks(dists, _row_groups(n, None)):
         cols[rows], sq[rows] = _nearest(D, k_eff)
     weights = np.exp(-sq / (2.0 * width**2))
     total = weights.sum(axis=1)
@@ -654,28 +646,24 @@ def quadratic_charge(A, graph):
     multipliers are those the row updates pin under ``A``, so the value is
     consistent with the row subproblems the graph solves.  A
     :class:`RowBlockCost` that :func:`build_graph` read with the graph's
-    ``k``, ``delta`` and block structure hands over the multipliers it kept;
-    otherwise they are computed with the same block loop, and fallback rows
-    carry ``lam = 0``.  There the source candidates come from the classes
-    of a :class:`RowBlockCost`; a dense cost names no classes, so its
-    ``+inf`` entries exclude them.  The block sums of squared weights come
-    from the graph's flat edge arrays, counting only edges with a finite
-    cost.
+    ``k``, ``delta`` and source labels hands over the multipliers it kept;
+    otherwise they are computed with the same block loop, over the class
+    sets the graph records in ``source_labels``, and fallback rows carry
+    ``lam = 0``.  The block sums of squared weights come from the graph's
+    flat edge arrays.  Every edge is charged under a :class:`RowBlockCost`;
+    under a dense cost only the edges with a finite cost are.
     """
-    n_s = graph.n_source if graph.structured else 0
-    key = (graph.k, n_s, graph.delta)
-    if isinstance(A, RowBlockCost) and key in A.multipliers:
-        lam = A.multipliers[key]
-    else:
-        labels = _cost_labels(A)
-        lam, _ = _graph_step(A, graph.k, graph.delta, n_s, labels, build=False)
+    labels = graph.source_labels
+    kept = A.multipliers if isinstance(A, RowBlockCost) else {}
+    lam = kept.get(_step_key(graph.k, graph.delta, labels))
+    if lam is None:
+        lam, _ = _graph_step(A, graph.k, graph.delta, labels, build=False)
     rows, cols, weights = graph.edges()
-    block = (rows < n_s) & (cols >= n_s)
-    if isinstance(A, RowBlockCost):
-        charged = A.finite(rows, cols)
-    else:
-        charged = np.isfinite(A[rows, cols])
-    return float(np.sum(lam[rows, block.astype(int)][charged] * weights[charged] ** 2))
+    n_s = 0 if labels is None else labels.size
+    charge = lam[rows, ((rows < n_s) & (cols >= n_s)).astype(int)] * weights**2
+    if not isinstance(A, RowBlockCost):
+        charge = charge[np.isfinite(A[rows, cols])]
+    return float(np.sum(charge))
 
 
 def write_edges(graph, sink=None):

@@ -29,10 +29,12 @@ Each outer iteration alternates three exact subproblem solutions:
 2. **Graph step.**  Row-wise closed-form updates of the affinity graph from
    the cost matrix ``||z_i - z_j||^2 + beta * ||F_i - F_j||^2`` (see
    :mod:`crossprop.graph`).  The cost is a
-   :class:`crossprop.graph.RowBlockCost`: it is computed from ``Z`` and
-   ``F`` a block of rows at a time into one reused buffer, so no ``n x n``
-   cost matrix is built, and it keeps the row multipliers of the graph step
-   for the objective.
+   :class:`crossprop.graph.RowBlockCost`: it holds only ``Z`` and ``F``
+   and computes the costs a block of rows at a time into one reused buffer,
+   so no ``n x n`` cost matrix is built, and it keeps the row multipliers of
+   the graph step for the objective.  The class split of the source rows is
+   the graph step's own: :func:`crossprop.graph.build_graph` takes the
+   source labels and records them on the graph.
 
 3. **Propagation step.**  Harmonic soft labels on the fresh graph with the
    labeled block clamped, then hard pseudo-labels by row argmax.  Free
@@ -265,7 +267,6 @@ def objective(
     alpha,
     beta,
     gamma,
-    source_labels=None,
     graph_scale=1.0,
     cost_matrix=None,
 ):
@@ -282,7 +283,8 @@ def objective(
     fit loop's graph step has already computed.  Without it they are
     computed at the evaluation point from a :class:`RowBlockCost` of
     ``P.T @ X`` and ``F``, one block of rows at a time, so no ``n x n``
-    array is built.  The graph and label energies each take one sparse
+    array is built; a structured graph's class sets come from its
+    ``source_labels``.  The graph and label energies each take one sparse
     product with the graph's rows.
     """
     Z = P.T @ X
@@ -291,9 +293,7 @@ def objective(
     if F is not None:
         label_energy = _edge_energy(graph.rows, np.asarray(F, dtype=float))
     if cost_matrix is None:
-        cost_matrix = RowBlockCost(
-            Z, F, beta, source_labels if graph.structured else None
-        )
+        cost_matrix = RowBlockCost(Z, F, beta)
     charge = quadratic_charge(cost_matrix, graph)
     discrepancy = float(np.trace(_discrepancy_form(Z, M)))
     return (
@@ -408,7 +408,7 @@ def fit(dataset, params=None, log_sink=None, on_iteration=None):
                 X, M, row_laplacian(graph), params.alpha / scale, params.gamma, d, factor
             )
             Z = P.T @ X
-            cost = RowBlockCost(Z, F, cost_beta, y_s if structured else None)
+            cost = RowBlockCost(Z, F, cost_beta)
             graph = build_graph(
                 cost, params.k, params.delta, y_s, structured=structured
             )
@@ -430,7 +430,6 @@ def fit(dataset, params=None, log_sink=None, on_iteration=None):
             params.alpha,
             cost_beta,
             params.gamma,
-            source_labels=y_s if structured else None,
             graph_scale=scale,
             cost_matrix=cost,
         )

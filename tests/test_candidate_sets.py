@@ -65,7 +65,7 @@ def test_graph_step_computes_no_cross_class_cost(monkeypatch):
         return compute(out, left, B)
 
     monkeypatch.setattr(crossprop.graph, "sq_dists_into", counting)
-    cost = RowBlockCost(Z, F, 0.1, labels)
+    cost = RowBlockCost(Z, F, 0.1)
     graph = cp.build_graph(cost, 3, 0.8, labels, structured=True)
     sizes = np.bincount(labels)
     # One feature and one label product per block.

@@ -422,3 +422,11 @@ class TestWithLabeledTargets:
         ds = cp.gen_synthetic_shift(2, per_class=3, n_classes=2)
         with pytest.raises(ArgumentError):
             cp.with_labeled_targets(ds, 4)
+
+    @pytest.mark.parametrize("per_class", [0, -1, 2.5, 2.0, True])
+    def test_per_class_must_be_a_positive_integer(self, per_class):
+        # -1 used to label all but the last target of each class through
+        # ``members[:-1]``, and 2.5 raised a bare TypeError.
+        ds = cp.gen_synthetic_shift(0, per_class=10)
+        with pytest.raises(ArgumentError):
+            cp.with_labeled_targets(ds, per_class)

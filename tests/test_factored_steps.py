@@ -114,7 +114,7 @@ def test_projection_and_objective_agree_for_factor_and_csr(rng, n_labeled):
     F = np.vstack([clamp, cp.harmonic_solve(L, clamp)])
     args = (P, graph, F, X)
     rest = (1.0, 0.1, 0.1)
-    kwargs = dict(source_labels=y_s, graph_scale=scale)
+    kwargs = dict(graph_scale=scale)
     assert objective(*args, E, *rest, **kwargs) == pytest.approx(
         objective(*args, M, *rest, **kwargs), rel=1e-12
     )

@@ -10,7 +10,7 @@ import scipy.sparse
 
 import crossprop as cp
 from crossprop.exceptions import ArgumentError, ShapeError
-from crossprop.graph import block_multiplier, quadratic_charge
+from crossprop.graph import RowBlockCost, block_multiplier, quadratic_charge
 
 from conftest import (
     check_structured_graph,
@@ -272,6 +272,12 @@ class TestGaussianKnnGraph:
         ("gaussian_knn_graph", 0, 5),
         ("gaussian_knn_graph", -2, 5),
         ("gaussian_knn_graph", 1, 1),
+        ("build_graph", 2.5, 5),
+        ("build_graph", True, 5),
+        ("init_graph", 2.5, 5),
+        ("init_graph", True, 5),
+        ("gaussian_knn_graph", 2.5, 5),
+        ("gaussian_knn_graph", True, 5),
     ],
 )
 def test_graph_builders_reject_k_below_one_or_a_single_sample(rng, builder, k, n):
@@ -279,8 +285,31 @@ def test_graph_builders_reject_k_below_one_or_a_single_sample(rng, builder, k, n
     with pytest.raises(ArgumentError):
         if builder == "build_graph":
             cp.build_graph(cp.affinity_cost(Z, None, 0.0), k, 0.5, None)
+        elif builder == "init_graph":
+            cp.init_graph(Z, k, 0.5, np.array([0, 1]))
         else:
             cp.gaussian_knn_graph(Z, k, n_source=0)
+
+
+@pytest.mark.parametrize("width", [0.0, -1.0, np.nan, np.inf])
+def test_gaussian_graph_rejects_a_width_that_is_not_finite_and_positive(width):
+    # A zero width gave NaN weights on the duplicate samples' rows, a NaN
+    # width NaN weights everywhere.
+    Z = np.array([[0.0, 0.0, 1.0, 2.0, 3.0]])
+    with pytest.raises(ArgumentError):
+        cp.gaussian_knn_graph(Z, 2, 0, width=width)
+
+
+@pytest.mark.parametrize("beta", [-0.1, np.nan, np.inf])
+def test_costs_reject_a_beta_that_is_not_finite_and_non_negative(rng, beta):
+    # A NaN beta made every cost NaN, so the graph step kept no edge and
+    # the graph's rows summed to 0.
+    Z = rng.standard_normal((2, 6))
+    F = rng.dirichlet(np.ones(2), size=6)
+    with pytest.raises(ArgumentError):
+        cp.affinity_cost(Z, F, beta)
+    with pytest.raises(ArgumentError):
+        RowBlockCost(Z, F, beta)
 
 
 class TestLaplacian:

@@ -23,7 +23,7 @@ import crossprop.graph
 import crossprop.linalg
 from crossprop.graph import RowBlockCost, quadratic_charge
 
-from conftest import csr_rows
+from conftest import csr_rows, rowwise_quadratic_charge
 
 
 @contextmanager
@@ -92,9 +92,9 @@ def test_row_blocks_equal_dense_cost(problem, block):
     dense = cp.affinity_cost(Z, F, beta, mask)
     expected = cp.build_graph(dense, k, delta, labels, structured=structured)
     with blocks_of(block, n):
-        cost = RowBlockCost(Z, F, beta, mask)
+        cost = RowBlockCost(Z, F, beta)
         graph = cp.build_graph(cost, k, delta, labels, structured=structured)
-        streamed = quadratic_charge(RowBlockCost(Z, F, beta, mask), graph)
+        streamed = quadratic_charge(RowBlockCost(Z, F, beta), graph)
         blocked_dense = cp.build_graph(dense, k, delta, labels, structured=structured)
     assert_same_rows(graph, expected)
     assert_same_rows(blocked_dense, expected)
@@ -107,15 +107,22 @@ def test_row_blocks_equal_dense_cost(problem, block):
 
 @settings(max_examples=100, deadline=None)
 @given(cost_problems(), st.integers(1, 3))
-def test_charge_skips_edges_the_row_block_cost_masks(problem, block):
-    # An unmasked graph charged under the class mask: its edges between
-    # source classes have an infinite cost and carry no charge.
+def test_charge_skips_edges_the_dense_cost_masks(problem, block):
+    # An unstructured graph has edges between source classes.  A
+    # RowBlockCost masks nothing, so it charges them as the unmasked dense
+    # cost does; under the class mask they cost +inf and carry no charge.
     Z, F, beta, labels, k, delta, _ = problem
-    loose = cp.build_graph(cp.affinity_cost(Z, F, beta), k, delta, labels, structured=False)
-    expected = quadratic_charge(cp.affinity_cost(Z, F, beta, labels), loose)
+    unmasked = cp.affinity_cost(Z, F, beta)
+    masked = cp.affinity_cost(Z, F, beta, labels)
+    loose = cp.build_graph(unmasked, k, delta, labels, structured=False)
     with blocks_of(block, Z.shape[1]):
-        charge = quadratic_charge(RowBlockCost(Z, F, beta, labels), loose)
-    assert charge == pytest.approx(expected, rel=1e-12, abs=0.0)
+        streamed = quadratic_charge(RowBlockCost(Z, F, beta), loose)
+        charge = quadratic_charge(masked, loose)
+    expected = quadratic_charge(unmasked, loose)
+    assert streamed == pytest.approx(expected, rel=1e-12, abs=0.0)
+    assert charge == pytest.approx(
+        rowwise_quadratic_charge(masked, loose), rel=1e-12, abs=0.0
+    )
 
 
 @settings(max_examples=100, deadline=None)
@@ -129,11 +136,9 @@ def test_objective_without_a_cost_matrix_reads_row_blocks(problem, block):
     P = np.eye(X.shape[0])[:, : Z.shape[0]]
     E = np.ones((n, 1)) / n
     args = (P, graph, F, X, E, 1.0, beta, 0.1)
-    dense = cp.objective(
-        *args, source_labels=labels, cost_matrix=cp.affinity_cost(Z, F, beta, mask)
-    )
+    dense = cp.objective(*args, cost_matrix=cp.affinity_cost(Z, F, beta, mask))
     with blocks_of(block, n):
-        value = cp.objective(*args, source_labels=labels)
+        value = cp.objective(*args)
     assert value == pytest.approx(dense, rel=1e-12, abs=1e-12)
 
 
@@ -209,7 +214,7 @@ def test_graph_step_holds_about_three_row_blocks(mib):
     n = ds.n_samples
     F = np.random.default_rng(0).dirichlet(np.ones(ds.n_classes), size=n)
     with blocks_of((mib << 20) // (8 * n), n):
-        cost = RowBlockCost(ds.features, F, 0.1, ds.source_labels)
+        cost = RowBlockCost(ds.features, F, 0.1)
         tracemalloc.start()
         try:
             graph = cp.build_graph(cost, 20, 0.8, ds.source_labels, structured=True)

@@ -113,7 +113,7 @@ class TestObjective:
         scale = 1.7
         got = objective(
             P, graph, F, ds.features, M, alpha, beta, gamma,
-            source_labels=ds.source_labels, graph_scale=scale,
+            graph_scale=scale,
         )
         Z = P.T @ ds.features
         S = graph.toarray()
@@ -152,13 +152,10 @@ class TestObjective:
         frozen = cp.affinity_cost(
             rng.standard_normal((3, ds.n_samples)), None, 0.0, ds.source_labels
         )
-        base = objective(
-            P, graph, None, ds.features, M, alpha, beta, gamma,
-            source_labels=ds.source_labels,
-        )
+        base = objective(P, graph, None, ds.features, M, alpha, beta, gamma)
         with_frozen = objective(
             P, graph, None, ds.features, M, alpha, beta, gamma,
-            source_labels=ds.source_labels, cost_matrix=frozen,
+            cost_matrix=frozen,
         )
         Z = P.T @ ds.features
         live = cp.affinity_cost(Z, None, 0.0, ds.source_labels)
@@ -177,7 +174,7 @@ class TestObjective:
         )
         got = objective(
             P0, graph, None, ds.features, M, 2.0, 0.0, 0.7,
-            source_labels=ds.source_labels, cost_matrix=frozen,
+            cost_matrix=frozen,
         )
         assert got == pytest.approx(
             2.0 * quadratic_charge(frozen, graph) / 2.0, rel=1e-12
