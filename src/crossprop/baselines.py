@@ -10,8 +10,7 @@ each other.
 import numpy as np
 
 from .exceptions import ArgumentError, ConvergenceError, ShapeError
-from .graph import block_multiplier
-from .linalg import block_rows, sq_dist_operand, sq_dist_rows, sq_dists_into
+from .graph import RowBlockCost, _cost_blocks, block_multiplier
 
 QP_MAX_ITER = 10_000
 QP_TOL = 1e-8
@@ -33,7 +32,9 @@ def nearest_neighbor(train_features, train_labels, test_features):
     -------
     labels : ndarray of shape (q,)
         Label of each test sample's nearest training sample; distance ties
-        go to the lowest training index.
+        go to the lowest training index.  The test x train distances are
+        read a block of test rows at a time, through the graph step's
+        :func:`crossprop.graph._cost_blocks`.
     """
     train_labels = np.asarray(train_labels, dtype=int)
     train_features = np.asarray(train_features, dtype=float)
@@ -44,18 +45,12 @@ def nearest_neighbor(train_features, train_labels, test_features):
         raise ShapeError("at least one training sample is required")
     if train_features.shape[0] != test_features.shape[0]:
         raise ShapeError("train and test features must share the feature dimension")
-    # Only the test x train distances, a block of test rows at a time.
-    train = sq_dist_operand(train_features)
-    test = sq_dist_operand(test_features)
-    p, q = train.shape[1], test.shape[1]
-    step = block_rows(p)
-    out = np.empty((min(step, q), p))
-    nearest = np.empty(q, dtype=np.intp)
-    for start in range(0, q, step):
-        stop = min(start + step, q)
-        left = sq_dist_rows(test, np.arange(start, stop))
-        D = sq_dists_into(out[: stop - start], left, train)
-        nearest[start:stop] = np.argmin(D, axis=1)
+    p = train_labels.size
+    dists = RowBlockCost(np.hstack([train_features, test_features]), None, 0.0)
+    test = np.arange(p, dists.shape[0])
+    nearest = np.empty(test.size, dtype=np.intp)
+    for rows, _, (D,) in _cost_blocks(dists, [(test, (np.arange(p),))]):
+        nearest[rows - p] = np.argmin(D, axis=1)
     return train_labels[nearest]
 
 

@@ -68,8 +68,8 @@ class Dataset:
 
     def __post_init__(self):
         self.features = np.asarray(self.features, dtype=float)
-        self.source_labels = np.asarray(self.source_labels, dtype=int)
-        self.labeled_target_labels = np.asarray(self.labeled_target_labels, dtype=int)
+        self.source_labels = _as_labels(self.source_labels)
+        self.labeled_target_labels = _as_labels(self.labeled_target_labels)
         if self.n_classes <= 0:
             raise LabelError("n_classes must be positive")
         if self.features.ndim != 2:
@@ -96,7 +96,7 @@ class Dataset:
             empty = int(np.flatnonzero(counts == 0)[0])
             raise LabelError(f"source class {empty} has no samples")
         if self.hidden_target_labels is not None:
-            self.hidden_target_labels = np.asarray(self.hidden_target_labels, dtype=int)
+            self.hidden_target_labels = _as_labels(self.hidden_target_labels)
             if self.hidden_target_labels.shape != (self.n_target,):
                 raise ShapeError("hidden_target_labels length must equal n_target")
 
@@ -140,9 +140,23 @@ class HyperParams:
         return min(2 * dataset.n_classes, dataset.n_features)
 
 
+def _as_labels(labels):
+    """``labels`` as an ``int`` array, rejecting non-integral values.
+
+    Integral floats such as ``1.0`` pass; ``1.5`` or ``nan`` raise
+    :class:`LabelError` instead of being truncated to a class.
+    """
+    labels = np.asarray(labels)
+    if labels.dtype.kind == "f" and not np.all(
+        np.isfinite(labels) & (labels == np.round(labels))
+    ):
+        raise LabelError("labels must be integers")
+    return labels.astype(int, copy=False)
+
+
 def one_hot(labels, n_classes):
     """Encode integer labels as one-hot rows of shape ``(len(labels), n_classes)``."""
-    labels = np.asarray(labels, dtype=int)
+    labels = _as_labels(labels)
     if labels.size and (labels.min() < 0 or labels.max() >= n_classes):
         raise LabelError("labels must lie in [0, n_classes)")
     out = np.zeros((labels.size, n_classes))
@@ -152,8 +166,8 @@ def one_hot(labels, n_classes):
 
 def accuracy(predicted, truth):
     """Fraction of positions where ``predicted == truth``."""
-    predicted = np.asarray(predicted, dtype=int)
-    truth = np.asarray(truth, dtype=int)
+    predicted = _as_labels(predicted)
+    truth = _as_labels(truth)
     if predicted.shape != truth.shape or predicted.ndim != 1:
         raise ShapeError("prediction and truth must be 1-D arrays of equal length")
     if predicted.size == 0:
@@ -336,6 +350,12 @@ def load_dataset(
 # ---------------------------------------------------------------------------
 
 
+def _check_count(name, value, least):
+    integral = isinstance(value, numbers.Integral) and not isinstance(value, bool)
+    if not integral or value < least:
+        raise ArgumentError(f"{name}={value!r} must be an integer of at least {least}")
+
+
 def gen_synthetic_shift(
     seed,
     per_class=100,
@@ -377,18 +397,28 @@ def gen_synthetic_shift(
     Returns
     -------
     dataset : Dataset
+
+    Raises
+    ------
+    ArgumentError
+        If a count is not an integer of at least 2, ``rotation_deg`` or
+        ``shift`` is not finite, or ``noise_scale`` is negative or not
+        finite.
     """
-    if per_class < 2:
-        raise ArgumentError("per_class must be at least 2")
-    if n_classes < 2:
-        raise ArgumentError("n_classes must be at least 2")
-    if dim < 2:
-        raise ArgumentError("dim must be at least 2")
+    _check_count("per_class", per_class, 2)
+    _check_count("n_classes", n_classes, 2)
+    _check_count("dim", dim, 2)
+    if not np.isfinite(rotation_deg):
+        raise ArgumentError(f"rotation_deg={rotation_deg} must be finite")
+    if not 0.0 <= noise_scale < np.inf:
+        raise ArgumentError(f"noise_scale={noise_scale} must be finite and >= 0")
     shift = np.asarray(shift, dtype=float)
     if shift.shape == (2,):
         shift = np.concatenate([shift, np.zeros(dim - 2)])
     if shift.shape != (dim,):
         raise ArgumentError("shift must have length 2 or dim")
+    if not np.all(np.isfinite(shift)):
+        raise ArgumentError("shift must be finite")
 
     rng = np.random.default_rng(seed)
     angles = 2.0 * np.pi * np.arange(n_classes) / n_classes
@@ -435,9 +465,7 @@ def with_labeled_targets(dataset, per_class):
     stay unlabeled.  Requires ``hidden_target_labels`` and a positive
     integer ``per_class``.
     """
-    integral = isinstance(per_class, numbers.Integral) and not isinstance(per_class, bool)
-    if not integral or per_class < 1:
-        raise ArgumentError(f"per_class={per_class!r} must be a positive integer")
+    _check_count("per_class", per_class, 1)
     if dataset.hidden_target_labels is None:
         raise ArgumentError("with_labeled_targets requires hidden_target_labels")
     if dataset.n_labeled_target != 0:

@@ -36,8 +36,9 @@ its nonzero weights are then ``(a[k] - c) / denom`` at the picked costs
 columns were picked.  A source row's ``delta`` share needs a same-class peer,
 which exists exactly when its smallest picked source cost is finite.  Only
 the fallback rows (at most ``k`` finite candidates, or a degenerate
-denominator, where ties need the stable column order) go through
-:func:`_block_weights` one by one.  The multipliers ``lam`` of
+denominator) need the order of tied costs; :func:`_stable_smallest` ranks
+just those rows by one stable sort, ties to the lower column, and they get
+uniform weights as in :func:`_block_weights`.  The multipliers ``lam`` of
 :func:`quadratic_charge` and :func:`block_multiplier` come from the same
 selection.
 
@@ -55,8 +56,9 @@ loop, :func:`_graph_step`.  The fit only uses :class:`RowBlockCost`, so it
 never builds an ``n x n`` cost matrix.  :func:`build_graph` leaves the row
 multipliers it computed in the :class:`RowBlockCost`, and
 :func:`quadratic_charge` reads them from there instead of running the closed
-form a second time.  :func:`gaussian_knn_graph` picks its neighbours from the
-same row blocks.
+form a second time.  :func:`gaussian_knn_graph` and
+:func:`crossprop.baselines.nearest_neighbor` pick their nearest candidates
+from the same row blocks, the kNN graph with the same selection.
 
 A graph is stored as one ``scipy.sparse.csr_array`` from the graph step to
 the CLI.  The solver's Laplacian is a ``csr_array`` too
@@ -394,6 +396,15 @@ def _source_mass(src, delta):
     return np.where(smallest < np.inf, float(delta), 0.0)
 
 
+def _stable_smallest(costs, rows, s):
+    """Columns of the ``s`` smallest costs of each of ``rows``, ascending.
+
+    One stable sort of each whole row ranks its costs, so of several tied
+    costs the lower columns come first, as in :func:`_block_weights`.
+    """
+    return np.sort(np.argsort(costs[rows], axis=1, kind="stable")[:, :s], axis=1)
+
+
 def _block_rows(costs, k, mass, sel):
     """Weights of every row of a cost block at its picked columns, scaled by its mass.
 
@@ -402,9 +413,10 @@ def _block_rows(costs, k, mass, sel):
     :func:`_closed_form`.  A generic row's nonzero weights are
     ``(a[k] - c) / denom`` at its picked costs ``c < a[k]``, which are all
     of the row's costs below ``a[k]``; a tie at ``a[k]`` has zero weight.
-    Only fallback rows go through :func:`_block_weights`, one by one on the
-    whole row, where ties need the stable column order; they keep at most
-    ``k`` candidates, so they fit the row's picked slots as well.  Returns
+    A fallback row spends its mass uniformly over the finite costs among its
+    ``k`` smallest by :func:`_stable_smallest` (all its finite costs when it
+    has at most ``k``), as :func:`_block_weights` does; they fit the row's
+    picked slots.  Returns
     ``(cols, weights)`` of the selection's shape, zero weight in unused slots;
     the columns of each row's positive weights are ascending.
     """
@@ -415,13 +427,12 @@ def _block_rows(costs, k, mass, sel):
     weights = np.zeros(cols.shape)
     gaps = sel.boundary[rows] - sel.costs[rows, j]
     weights[rows, j] = mass[rows] * (gaps / sel.denom[rows])
-    for i in np.flatnonzero(~batched):
-        cands = np.flatnonzero(np.isfinite(costs[i]))
-        w = mass[i] * _block_weights(costs[i, cands], k)
-        kept = w > 0.0
-        used = np.count_nonzero(kept)
-        cols[i, :used] = cands[kept]
-        weights[i, :used] = w[kept]
+    fallback = np.flatnonzero(~batched)
+    top = _stable_smallest(costs, fallback, k)
+    finite = np.isfinite(costs[fallback[:, None], top])
+    share = mass[fallback] * (1.0 / np.maximum(np.count_nonzero(finite, axis=1), 1))
+    cols[fallback, : top.shape[1]] = top
+    weights[fallback, : top.shape[1]] = np.where(finite, share[:, None], 0.0)
     return cols, weights
 
 
@@ -508,11 +519,14 @@ def build_graph(A, k, delta, source_labels, structured=True):
     labels.  With ``structured=False`` every row is treated like a target
     row (unit mass over all finite candidates).  Raises
     :class:`ArgumentError` when ``k`` is not an integer of at least 1 or
-    ``delta`` is not in ``[0, 1]``.
+    ``delta`` is not in ``[0, 1]``, and :class:`ShapeError` when ``A`` is
+    not square.
     """
     _check_k(k)
     if not 0.0 <= delta <= 1.0:
         raise ArgumentError(f"delta={delta} must lie in [0, 1]")
+    if len(A.shape) != 2 or A.shape[0] != A.shape[1]:
+        raise ShapeError(f"cost of shape {A.shape} is not square")
     labels = None
     if structured and source_labels is not None:
         labels = np.asarray(source_labels, dtype=int)
@@ -535,33 +549,18 @@ def init_graph(X, k, delta, source_labels, structured=True):
     return build_graph(RowBlockCost(X, None, 0.0), k, delta, source_labels, structured)
 
 
-def _nearest(costs, k):
-    """Columns and costs of each row's ``k`` smallest costs, columns ascending.
-
-    A partition finds each row's ``k``-th smallest cost; of the columns at
-    or below it, a stable sort by cost keeps the first ``k``, so ties go to
-    the lower column exactly as in a stable argsort of the whole row.
-    """
-    kth = np.partition(costs, k - 1, axis=1)[:, k - 1 : k]
-    rows, cols = np.nonzero(costs <= kth)  # columns ascending within a row
-    order = np.lexsort((costs[rows, cols], rows))
-    first = np.searchsorted(rows[order], rows[order])
-    kept = np.sort(order[np.arange(order.size) - first < k])
-    rows, cols = rows[kept], cols[kept]
-    return cols.reshape(-1, k), costs[rows, cols].reshape(-1, k)
-
-
 def gaussian_knn_graph(Z, k, n_source, width=1.0):
     """Fixed k-nearest-neighbour graph with Gaussian kernel weights.
 
     Weights are ``exp(-dist^2 / (2 * width^2))`` over each sample's ``k``
     nearest neighbours, normalized to unit row sums.  This is the
     predefined-similarity alternative to the self-learned graph.  The
-    neighbours are picked from row blocks of the distances, ties to the
-    lower column (:func:`_nearest`); a row whose kernel weights all
-    underflow is uniform.  Raises :class:`ArgumentError` when ``k`` is not
-    an integer of at least 1, ``width`` is not finite and positive, or there
-    are fewer than two samples.
+    neighbours are the :func:`_closed_form` picks below ``a[k]``; a row
+    whose ``k``-th and ``k + 1``-th distances tie is ranked by
+    :func:`_stable_smallest`, ties to the lower column.  A row whose kernel
+    weights all underflow is uniform.  Raises :class:`ArgumentError` when
+    ``k`` is not an integer of at least 1, ``width`` is not finite and
+    positive, or there are fewer than two samples.
     """
     _check_k(k)
     if not 0.0 < width < np.inf:
@@ -574,7 +573,13 @@ def gaussian_knn_graph(Z, k, n_source, width=1.0):
     cols = np.empty((n, k_eff), dtype=np.intp)
     sq = np.empty((n, k_eff))
     for rows, _, (D,) in _cost_blocks(dists, _row_groups(n, None)):
-        cols[rows], sq[rows] = _nearest(D, k_eff)
+        sel = _closed_form(D, k_eff)
+        below = sel.costs < sel.boundary[:, None]
+        tied = np.count_nonzero(below, axis=1) < k_eff
+        near = np.empty((rows.size, k_eff), dtype=np.intp)
+        near[~tied] = sel.cols[below & ~tied[:, None]].reshape(-1, k_eff)
+        near[tied] = _stable_smallest(D, tied, k_eff)
+        cols[rows], sq[rows] = near, np.take_along_axis(D, near, axis=1)
     weights = np.exp(-sq / (2.0 * width**2))
     total = weights.sum(axis=1)
     vanished = total <= 0.0

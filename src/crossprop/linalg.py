@@ -40,8 +40,7 @@ block of the closed form's ``np.argpartition``), which can set a fit's peak
 memory.  On a 2-core Xeon with one BLAS thread, a 3-class, 10-D fit at
 n = 3000 peaked at 106.5 MB of RSS with 8 MiB blocks, 94.3 MB with 4 MiB
 and 91.9 MB with 2 MiB, at fit times equal within run-to-run noise; an
-800-D fit at n = 1800 peaked at about 125 MB with all three.  (Measured when the third block was a partition copy of the costs,
-which is as large as the index block.)
+800-D fit at n = 1800 peaked at about 125 MB with all three.
 """
 
 

@@ -77,6 +77,40 @@ class TestDatasetInvariants:
                 n_classes=2,
             )
 
+    @pytest.mark.parametrize(
+        "labels",
+        [
+            dict(source_labels=[0.2, 0.9, 1.5, 1.99]),
+            dict(source_labels=[0, 1, 0, np.nan]),
+            dict(source_labels=[0, 1, 0, 1], hidden_target_labels=[0.5, 1.0]),
+        ],
+    )
+    def test_non_integral_labels_rejected(self, rng, labels):
+        # [0.2, 0.9, 1.5, 1.99] used to be stored as [0, 0, 1, 1].
+        with pytest.raises(LabelError):
+            Dataset(
+                features=rng.standard_normal((3, 6)),
+                n_source=4,
+                n_labeled_target=0,
+                n_unlabeled_target=2,
+                n_classes=2,
+                **labels,
+            )
+
+    def test_integral_float_labels_accepted(self, rng):
+        ds = Dataset(
+            features=rng.standard_normal((3, 6)),
+            n_source=4,
+            n_labeled_target=0,
+            n_unlabeled_target=2,
+            source_labels=[0.0, 1.0, 1.0, 0.0],
+            n_classes=2,
+            hidden_target_labels=np.array([1.0, 0.0]),
+        )
+        npt.assert_array_equal(ds.source_labels, [0, 1, 1, 0], strict=False)
+        assert ds.source_labels.dtype == int
+        assert ds.hidden_target_labels.dtype == int
+
     def test_hidden_labels_length_checked(self, rng):
         with pytest.raises(ShapeError):
             Dataset(
@@ -138,6 +172,14 @@ class TestOneHot:
         with pytest.raises(LabelError):
             cp.one_hot([2], 2)
 
+    def test_non_integral_label_rejected(self):
+        # [0.0, 1.9] used to encode classes 0 and 1.
+        with pytest.raises(LabelError):
+            cp.one_hot([0.0, 1.9], 2)
+
+    def test_integral_float_labels_accepted(self):
+        npt.assert_array_equal(cp.one_hot([0.0, 1.0], 2), [[1, 0], [0, 1]])
+
     def test_rows_sum_to_one(self, rng):
         labels = rng.integers(0, 5, size=40)
         F = cp.one_hot(labels, 5)
@@ -161,6 +203,17 @@ class TestAccuracy:
     def test_empty_rejected(self):
         with pytest.raises(ShapeError):
             cp.accuracy([], [])
+
+    @pytest.mark.parametrize(
+        "predicted, truth", [([0.9, 1.2], [0, 1]), ([0, 1], [0.0, np.inf])]
+    )
+    def test_non_integral_labels_rejected(self, predicted, truth):
+        # [0.9, 1.2] against [0, 1] used to score 1.0.
+        with pytest.raises(LabelError):
+            cp.accuracy(predicted, truth)
+
+    def test_integral_float_labels_accepted(self):
+        assert cp.accuracy([0.0, 1.0], [0, 0]) == 0.5
 
 
 class TestZscore:
@@ -383,6 +436,13 @@ class TestSyntheticShift:
             dict(n_classes=1),
             dict(dim=1),
             dict(shift=(1.0, 2.0, 3.0)),
+            dict(per_class=2.5),
+            dict(n_classes=3.5),
+            dict(dim=2.5),
+            dict(rotation_deg=np.nan),
+            dict(noise_scale=np.nan),
+            dict(shift=(np.inf, 1.0)),
+            dict(noise_scale=-0.1),
         ],
     )
     def test_invalid_arguments(self, kwargs):

@@ -291,6 +291,13 @@ def test_graph_builders_reject_k_below_one_or_a_single_sample(rng, builder, k, n
             cp.gaussian_knn_graph(Z, k, n_source=0)
 
 
+@pytest.mark.parametrize("shape", [(5, 4), (4, 5), (5,)])
+def test_build_graph_rejects_a_cost_that_is_not_square(shape):
+    # A 5 x 4 cost raised an IndexError from the row blocks.
+    with pytest.raises(ShapeError):
+        cp.build_graph(np.ones(shape), 2, 0.5, None, structured=False)
+
+
 @pytest.mark.parametrize("width", [0.0, -1.0, np.nan, np.inf])
 def test_gaussian_graph_rejects_a_width_that_is_not_finite_and_positive(width):
     # A zero width gave NaN weights on the duplicate samples' rows, a NaN
