@@ -9,6 +9,7 @@ each other.
 
 import numpy as np
 
+from .data import _as_labels
 from .exceptions import ArgumentError, ConvergenceError, ShapeError
 from .graph import RowBlockCost, _cost_blocks, block_multiplier
 
@@ -36,9 +37,13 @@ def nearest_neighbor(train_features, train_labels, test_features):
         read a block of test rows at a time, through the graph step's
         :func:`crossprop.graph._cost_blocks`.
     """
-    train_labels = np.asarray(train_labels, dtype=int)
+    train_labels = _as_labels(train_labels)
     train_features = np.asarray(train_features, dtype=float)
     test_features = np.asarray(test_features, dtype=float)
+    if train_features.ndim != 2 or test_features.ndim != 2:
+        raise ShapeError("train and test features must be 2-D matrices")
+    if train_labels.ndim != 1:
+        raise ShapeError("training labels must be a 1-D array")
     if train_features.shape[1] != train_labels.size:
         raise ShapeError("one training label per training column is required")
     if train_labels.size == 0:

@@ -262,7 +262,7 @@ def load_features_csv(path):
 
 def save_labels_csv(path, labels):
     """Write integer labels as a single-column CSV with header ``label``."""
-    labels = np.asarray(labels, dtype=int)
+    labels = _as_labels(labels)
     with open(path, "w") as fh:
         fh.write("label\n")
         for v in labels:

@@ -76,6 +76,7 @@ from typing import NamedTuple
 import numpy as np
 import scipy.sparse
 
+from .data import _as_labels
 from .exceptions import ArgumentError, ShapeError
 from .linalg import (
     block_rows,
@@ -167,7 +168,7 @@ def affinity_cost(Z, F, beta, source_labels=None):
     if F is not None and beta != 0.0:
         A += beta * pairwise_sq_dists(np.asarray(F, dtype=float).T)
     if source_labels is not None:
-        source_labels = np.asarray(source_labels, dtype=int)
+        source_labels = _as_labels(source_labels)
         n_s = source_labels.size
         cross = source_labels[:, None] != source_labels[None, :]
         A[:n_s, :n_s][cross] = np.inf
@@ -529,7 +530,7 @@ def build_graph(A, k, delta, source_labels, structured=True):
         raise ShapeError(f"cost of shape {A.shape} is not square")
     labels = None
     if structured and source_labels is not None:
-        labels = np.asarray(source_labels, dtype=int)
+        labels = _as_labels(source_labels)
         _check_cost_inputs(A.shape[0], None, labels)
     lam, rows = _graph_step(A, k, delta, labels)
     if isinstance(A, RowBlockCost):

@@ -14,6 +14,7 @@ factor (``r <= C + 1``) for callers that only need ``X M X.T``.
 
 import numpy as np
 
+from .data import _as_labels
 from .exceptions import ArgumentError, LabelError
 
 
@@ -58,8 +59,8 @@ def conditional_mmd(source_labels, target_pseudo_labels, n_classes):
     -------
     M : ndarray of shape (n_s + n_t, n_s + n_t)
     """
-    source_labels = np.asarray(source_labels, dtype=int)
-    target_pseudo_labels = np.asarray(target_pseudo_labels, dtype=int)
+    source_labels = _as_labels(source_labels)
+    target_pseudo_labels = _as_labels(target_pseudo_labels)
     n = source_labels.size + target_pseudo_labels.size
     M = np.zeros((n, n))
     for members, e in _class_vectors(source_labels, target_pseudo_labels, n_classes):
@@ -112,8 +113,8 @@ def discrepancy_factor(source_labels, target_pseudo_labels, n_classes):
     columns are multiples of ``(1, -1)`` and are folded into one; hence
     ``r < n`` always, which is how the solver tells a factor from ``M``.
     """
-    source_labels = np.asarray(source_labels, dtype=int)
-    target_pseudo_labels = np.asarray(target_pseudo_labels, dtype=int)
+    source_labels = _as_labels(source_labels)
+    target_pseudo_labels = _as_labels(target_pseudo_labels)
     columns = [_marginal_vector(source_labels.size, target_pseudo_labels.size)]
     n = columns[0].size
     for members, e in _class_vectors(source_labels, target_pseudo_labels, n_classes):

@@ -30,7 +30,7 @@ import scipy.sparse
 from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import splu
 
-from .exceptions import SingularMatrix
+from .exceptions import ShapeError, SingularMatrix
 
 
 def reachable_rows(L, n_clamped):
@@ -71,13 +71,22 @@ def harmonic_solve(L, clamped):
 
     Raises
     ------
+    ShapeError
+        If ``L`` is not square, or ``clamped`` is not 2-D or has more rows
+        than ``L``.
     SingularMatrix
         If ``L`` holds non-finite entries, or the sparse factorization of
         the reachable free block fails.
     """
     clamped = np.asarray(clamped, dtype=float)
-    n_clamped = clamped.shape[0]
     L = scipy.sparse.csr_array(L, dtype=float)
+    if L.shape[0] != L.shape[1]:
+        raise ShapeError(f"Laplacian of shape {L.shape} is not square")
+    if clamped.ndim != 2 or clamped.shape[0] > L.shape[0]:
+        raise ShapeError(
+            f"clamped rows of shape {clamped.shape} do not fit {L.shape[0]} samples"
+        )
+    n_clamped = clamped.shape[0]
     if not np.all(np.isfinite(L.data)):
         raise SingularMatrix("Laplacian contains non-finite entries")
     reach = reachable_rows(L, n_clamped)

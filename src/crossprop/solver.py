@@ -54,8 +54,11 @@ one half; with the multipliers ``Lambda`` treated as the iteration's fixed
 parameters, every one of the three updates is then an exact minimizer of
 the same function and the objective cannot increase within an iteration.
 
-The loop stops early once the fraction of changed pseudo-labels drops below
-``1e-3`` or the relative objective change drops below ``1e-5``.
+The initial graph is propagated exactly as every later graph is.  The loop
+stops early once the label change, the fraction of *unlabeled* target
+samples whose pseudo-label changed (the labeled target prefix is not
+counted), drops below ``1e-3``, or the relative objective change drops
+below ``1e-5``.
 """
 
 import numbers
@@ -93,7 +96,9 @@ class FitState:
 
     ``unreachable_rows`` counts the free rows of ``F`` that are exactly zero:
     the samples with no path in ``graph`` to a clamped sample.  A reachable
-    row sums to one, so the count is exact.
+    row sums to one, so the count is exact.  ``label_change`` is the
+    fraction of the unlabeled targets whose label differs from the previous
+    iteration's; ``target_labels`` is the fit's own copy.
     """
 
     iteration: int
@@ -334,6 +339,21 @@ def _validate(dataset, params):
     return d
 
 
+def _propagate(graph, clamp, known):
+    """Propagation step on ``graph``: ``(scale, F, target_labels)``.
+
+    ``clamp`` holds the one-hot rows of the labeled samples, source first,
+    and ``known`` the labels of the labeled target prefix.  ``scale`` is the
+    Frobenius norm of the graph's Laplacian, ``F`` stacks ``clamp`` on the
+    harmonic soft labels of the free rows, and ``target_labels`` is
+    ``known`` followed by the free rows' argmax.
+    """
+    L = sparse_laplacian(graph)
+    F_free = harmonic_solve(L, clamp)
+    labels = np.concatenate([known, decide_labels(F_free)])
+    return _graph_scale(L), np.vstack([clamp, F_free]), labels
+
+
 def fit(dataset, params=None, log_sink=None, on_iteration=None):
     """Run the joint solver on ``dataset``.
 
@@ -359,32 +379,24 @@ def fit(dataset, params=None, log_sink=None, on_iteration=None):
     X = dataset.features
     factor = factor_scatter(X)
     n_s = dataset.n_source
-    n_l = dataset.n_labeled_target
-    C = dataset.n_classes
     y_s = dataset.source_labels
+    known = dataset.labeled_target_labels
+    unlabeled = slice(known.size, None)
     structured = params.ablation in ("full", "ds")
     cost_beta = params.beta if params.ablation == "full" else 0.0
-
-    clamp = one_hot(
-        np.concatenate([y_s, dataset.labeled_target_labels]), C
-    )
+    clamp = one_hot(np.concatenate([y_s, known]), dataset.n_classes)
+    truth = dataset.hidden_target_labels
+    if truth is not None:
+        truth = truth[unlabeled]
 
     if params.ablation == "sp":
         graph = gaussian_knn_graph(X, params.k, n_s)
     else:
         graph = init_graph(X, params.k, params.delta, y_s, structured=structured)
-    L = sparse_laplacian(graph)
-    scale = _graph_scale(L)
-    F_free = harmonic_solve(L, clamp)
-    F = np.vstack([clamp, F_free])
-    pseudo = decide_labels(F_free)
-
-    truth = None
-    if dataset.hidden_target_labels is not None:
-        truth = dataset.hidden_target_labels[n_l:]
+    scale, F, labels = _propagate(graph, clamp, known)
 
     report = FitReport(
-        target_labels=np.concatenate([dataset.labeled_target_labels, pseudo]),
+        target_labels=labels,
         iterations=0,
         converged=False,
         accuracy_trace=[] if truth is not None else None,
@@ -394,32 +406,26 @@ def fit(dataset, params=None, log_sink=None, on_iteration=None):
 
     prev_objective = None
     for t in range(1, params.iterations + 1):
-        target_estimates = np.concatenate([dataset.labeled_target_labels, pseudo])
-        M = discrepancy_factor(y_s, target_estimates, C)
-
+        M = discrepancy_factor(y_s, labels, dataset.n_classes)
+        graph_term = None if params.ablation == "sp" else row_laplacian(graph)
+        # alpha / scale weighs the Laplacian divided by its Frobenius norm;
+        # without a graph term alpha is never read.
+        P = solve_projection(
+            X, M, graph_term, params.alpha / scale, params.gamma, d, factor
+        )
+        del graph_term  # not held through the graph step
+        Z = P.T @ X
         if params.ablation == "sp":
-            P = solve_projection(X, M, None, params.alpha, params.gamma, d, factor)
-            Z = P.T @ X
             graph = gaussian_knn_graph(Z, params.k, n_s)
             cost = None
         else:
-            # alpha / scale weighs the Laplacian divided by its Frobenius norm.
-            P = solve_projection(
-                X, M, row_laplacian(graph), params.alpha / scale, params.gamma, d, factor
-            )
-            Z = P.T @ X
             cost = RowBlockCost(Z, F, cost_beta)
             graph = build_graph(
                 cost, params.k, params.delta, y_s, structured=structured
             )
-
-        L = sparse_laplacian(graph)
-        scale = _graph_scale(L)
-        F_free = harmonic_solve(L, clamp)
-        F = np.vstack([clamp, F_free])
-        new_pseudo = decide_labels(F_free)
-        change = float(np.mean(new_pseudo != pseudo))
-        pseudo = new_pseudo
+        previous = labels
+        scale, F, labels = _propagate(graph, clamp, known)
+        change = float(np.mean(labels[unlabeled] != previous[unlabeled]))
 
         value = objective(
             P,
@@ -435,13 +441,14 @@ def fit(dataset, params=None, log_sink=None, on_iteration=None):
         )
 
         report.iterations = t
+        report.target_labels = labels
         report.objective_trace.append(value)
         report.label_change_trace.append(change)
         acc_text = ""
         if truth is not None:
-            acc = accuracy(pseudo, truth)
-            report.accuracy_trace.append(acc)
-            acc_text = f"{acc:.6f}"
+            report.accuracy = accuracy(labels[unlabeled], truth)
+            report.accuracy_trace.append(report.accuracy)
+            acc_text = f"{report.accuracy:.6f}"
         if log_sink is not None:
             log_sink.write(f"{t},{value:.10g},{change:.6g},{acc_text}\n")
         if on_iteration is not None:
@@ -451,12 +458,12 @@ def fit(dataset, params=None, log_sink=None, on_iteration=None):
                     P=P,
                     graph=graph,
                     F=F,
-                    target_labels=np.concatenate(
-                        [dataset.labeled_target_labels, pseudo]
-                    ),
+                    target_labels=labels.copy(),
                     objective=value,
                     label_change=change,
-                    unreachable_rows=int(np.count_nonzero(~F_free.any(axis=1))),
+                    unreachable_rows=int(
+                        np.count_nonzero(~F[len(clamp):].any(axis=1))
+                    ),
                 )
             )
 
@@ -469,8 +476,4 @@ def fit(dataset, params=None, log_sink=None, on_iteration=None):
         prev_objective = value
         if report.converged:
             break
-
-    report.target_labels = np.concatenate([dataset.labeled_target_labels, pseudo])
-    if truth is not None:
-        report.accuracy = accuracy(pseudo, truth)
     return report

@@ -52,6 +52,16 @@ class TestNearestNeighbor:
             )
 
 
+    @pytest.mark.parametrize(
+        "train, labels",
+        [(np.ones(4), [0, 1, 0, 1]), (np.ones((2, 4)), [[0, 1, 0, 1]])],
+        ids=["1-d-train-features", "2-d-train-labels"],
+    )
+    def test_wrong_dimensionality_rejected(self, train, labels):
+        # The first raised IndexError; the second returned a (3, 4) array.
+        with pytest.raises(ShapeError):
+            cp.nearest_neighbor(train, labels, np.ones((2, 3)))
+
 class TestProjectSimplex:
     def test_interior_point_unchanged(self):
         v = np.array([0.2, 0.3, 0.5])

@@ -216,6 +216,55 @@ class TestAccuracy:
         assert cp.accuracy([0.0, 1.0], [0, 0]) == 0.5
 
 
+def _label_consumers(tmp_path):
+    """Each library call that takes 4 labels of classes {0, 1}, keyed by name."""
+    Z = np.random.default_rng(5).standard_normal((2, 8))
+    cost = cp.affinity_cost(Z, None, 0.0)
+    csv = tmp_path / "labels.csv"
+
+    def saved(labels):
+        save_labels_csv(csv, labels)
+        return csv.read_text()
+
+    return {
+        "build_graph": lambda y: cp.build_graph(cost, 2, 0.8, y).toarray(),
+        "affinity_cost": lambda y: cp.affinity_cost(Z, None, 0.0, source_labels=y),
+        "nearest_neighbor": lambda y: cp.nearest_neighbor(Z[:, :4], y, Z[:, 4:]),
+        "conditional_mmd_source": lambda y: cp.conditional_mmd(y, [0, 1], 2),
+        "conditional_mmd_target": lambda y: cp.conditional_mmd([0, 1], y, 2),
+        "discrepancy_factor_source": lambda y: cp.discrepancy_factor(y, [0, 1], 2),
+        "discrepancy_factor_target": lambda y: cp.discrepancy_factor([0, 1], y, 2),
+        "save_labels_csv": saved,
+    }
+
+
+LABEL_CONSUMERS = [
+    "build_graph",
+    "affinity_cost",
+    "nearest_neighbor",
+    "conditional_mmd_source",
+    "conditional_mmd_target",
+    "discrepancy_factor_source",
+    "discrepancy_factor_target",
+    "save_labels_csv",
+]
+
+
+class TestLabelConsumers:
+    """Every call that takes class labels rejects non-integral ones, as ``Dataset`` does."""
+
+    @pytest.mark.parametrize("name", LABEL_CONSUMERS)
+    def test_non_integral_labels_rejected(self, tmp_path, name):
+        # Each of these used to truncate [0.2, 0.9, 1.5, 1.99] to [0, 0, 1, 1].
+        with pytest.raises(LabelError):
+            _label_consumers(tmp_path)[name]([0.2, 0.9, 1.5, 1.99])
+
+    @pytest.mark.parametrize("name", LABEL_CONSUMERS)
+    def test_integral_float_labels_accepted(self, tmp_path, name):
+        call = _label_consumers(tmp_path)[name]
+        npt.assert_array_equal(call([0.0, 0.0, 1.0, 1.0]), call([0, 0, 1, 1]))
+
+
 class TestZscore:
     def test_rows_standardized(self, rng):
         X = rng.standard_normal((4, 50)) * [[2.0], [0.5], [10.0], [1.0]] + 3.0

@@ -93,6 +93,24 @@ class TestHarmonicSolve:
         npt.assert_allclose(F[0], [1.0, 0.0], atol=1e-12)
         npt.assert_array_equal(F[1], [0.0, 0.0])
 
+    @pytest.mark.parametrize(
+        "L, clamped",
+        [
+            (np.zeros((3, 4)), np.ones((1, 2))),  # raised scipy's ValueError
+            (np.eye(3), np.ones(2)),  # raised IndexError
+            (np.eye(3), np.ones((4, 2))),  # returned an empty (0, 2) array
+        ],
+        ids=["non-square-laplacian", "1-d-clamped", "more-clamped-than-samples"],
+    )
+    def test_inconsistent_shapes_raise(self, L, clamped):
+        with pytest.raises(cp.ShapeError):
+            cp.harmonic_solve(L, clamped)
+
+    def test_every_row_clamped_leaves_no_free_row(self):
+        L = laplacian_of(np.ones((3, 3)) - np.eye(3))
+        F = cp.harmonic_solve(L, np.eye(3)[:, :2])
+        assert F.shape == (0, 2)
+
 
 def split_graph(rng):
     """Weights of 2 clamped nodes, 5 reachable free nodes and a clamp-free path.

@@ -330,6 +330,34 @@ class TestFit:
             ds.n_labeled_target + ds.n_unlabeled_target,
         )
 
+    def test_label_change_counts_unlabeled_targets_only(self):
+        # Overlapping classes keep pseudo-labels moving for several
+        # iterations; with 6 labeled of 36 targets, a change taken over the
+        # whole target array would read 30/36 of the true fraction.
+        ds = cp.with_labeled_targets(
+            make_dataset(
+                np.random.default_rng(4),
+                per_class_source=10,
+                per_class_target=12,
+                spread=0.5,
+            ),
+            2,
+        )
+        n_l = ds.n_labeled_target
+        states = []
+        report = cp.fit(
+            ds, self._params(k=5, d=3, iterations=8, mode="sda"),
+            on_iteration=states.append,
+        )
+        assert len(states) >= 3
+        assert any(s.label_change > 0.0 for s in states[1:])
+        for prev, state in zip(states, states[1:]):
+            assert state.label_change == np.mean(
+                state.target_labels[n_l:] != prev.target_labels[n_l:]
+            )
+        npt.assert_array_equal(report.target_labels, states[-1].target_labels)
+        assert report.accuracy == report.accuracy_trace[-1]
+
     def test_single_target_sample_runs(self, rng):
         ds = make_dataset(rng, per_class_source=6, per_class_target=4)
         keep = ds.n_source + 1
