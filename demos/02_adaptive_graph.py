@@ -28,9 +28,7 @@ def main():
     print("A single target row with hand-picked costs [1, 2, 3, 100], k=2:")
     A = np.full((5, 5), np.inf)
     A[4, :4] = [1.0, 2.0, 3.0, 100.0]
-    row = cp.build_graph(
-        A, k=2, delta=0.0, source_labels=None, structured=False
-    ).rows[4]
+    row = cp.build_graph(A, k=2, delta=0.0, source_labels=None).rows[4]
     show_row("row 4", A[4, :4], row.coords[0], row.data)
     print("    -> the two cheapest candidates split the mass 2:1 and the")
     print("       rest are hard zeros; no kernel width was tuned.\n")
@@ -56,7 +54,7 @@ def main():
           np.array2string(S.sum(axis=1), precision=2))
 
     print("\nCompare a fixed Gaussian-kernel graph on the same samples:")
-    fixed = cp.gaussian_knn_graph(X, 2, n_source=6).toarray()
+    fixed = cp.gaussian_knn_graph(X, 2).toarray()
     print("  kernel row 0 weights:", np.array2string(fixed[0], precision=2))
     print("  -> the kernel row ignores class labels entirely; the adaptive")
     print("     row is the one that keeps source classes separated.")

@@ -42,8 +42,6 @@ def nearest_neighbor(train_features, train_labels, test_features):
     test_features = np.asarray(test_features, dtype=float)
     if train_features.ndim != 2 or test_features.ndim != 2:
         raise ShapeError("train and test features must be 2-D matrices")
-    if train_labels.ndim != 1:
-        raise ShapeError("training labels must be a 1-D array")
     if train_features.shape[1] != train_labels.size:
         raise ShapeError("one training label per training column is required")
     if train_labels.size == 0:

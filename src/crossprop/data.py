@@ -68,10 +68,12 @@ class Dataset:
 
     def __post_init__(self):
         self.features = np.asarray(self.features, dtype=float)
-        self.source_labels = _as_labels(self.source_labels)
-        self.labeled_target_labels = _as_labels(self.labeled_target_labels)
         if self.n_classes <= 0:
             raise LabelError("n_classes must be positive")
+        self.source_labels = _as_labels(self.source_labels, self.n_classes)
+        self.labeled_target_labels = _as_labels(
+            self.labeled_target_labels, self.n_classes
+        )
         if self.features.ndim != 2:
             raise ShapeError("features must be a 2-D matrix")
         if not np.all(np.isfinite(self.features)):
@@ -88,9 +90,6 @@ class Dataset:
             raise ShapeError("source_labels length must equal n_source")
         if self.labeled_target_labels.shape != (self.n_labeled_target,):
             raise ShapeError("labeled_target_labels length must equal n_labeled_target")
-        for labels in (self.source_labels, self.labeled_target_labels):
-            if labels.size and (labels.min() < 0 or labels.max() >= self.n_classes):
-                raise LabelError("labels must lie in [0, n_classes)")
         counts = np.bincount(self.source_labels, minlength=self.n_classes)
         if np.any(counts == 0):
             empty = int(np.flatnonzero(counts == 0)[0])
@@ -140,25 +139,31 @@ class HyperParams:
         return min(2 * dataset.n_classes, dataset.n_features)
 
 
-def _as_labels(labels):
-    """``labels`` as an ``int`` array, rejecting non-integral values.
+def _as_labels(labels, n_classes=None):
+    """``labels`` as a 1-D ``int`` array, rejecting non-integral values.
 
     Integral floats such as ``1.0`` pass; ``1.5`` or ``nan`` raise
-    :class:`LabelError` instead of being truncated to a class.
+    :class:`LabelError` instead of being truncated to a class.  An array of
+    any other rank raises :class:`ShapeError`, and with ``n_classes`` given,
+    a label outside ``[0, n_classes)`` raises :class:`LabelError`.
     """
     labels = np.asarray(labels)
+    if labels.ndim != 1:
+        raise ShapeError(f"labels must be a 1-D array, not {labels.ndim}-D")
     if labels.dtype.kind == "f" and not np.all(
         np.isfinite(labels) & (labels == np.round(labels))
     ):
         raise LabelError("labels must be integers")
-    return labels.astype(int, copy=False)
+    labels = labels.astype(int, copy=False)
+    if n_classes is not None and labels.size:
+        if labels.min() < 0 or labels.max() >= n_classes:
+            raise LabelError("labels must lie in [0, n_classes)")
+    return labels
 
 
 def one_hot(labels, n_classes):
     """Encode integer labels as one-hot rows of shape ``(len(labels), n_classes)``."""
-    labels = _as_labels(labels)
-    if labels.size and (labels.min() < 0 or labels.max() >= n_classes):
-        raise LabelError("labels must lie in [0, n_classes)")
+    labels = _as_labels(labels, n_classes)
     out = np.zeros((labels.size, n_classes))
     out[np.arange(labels.size), labels] = 1.0
     return out
@@ -168,7 +173,7 @@ def accuracy(predicted, truth):
     """Fraction of positions where ``predicted == truth``."""
     predicted = _as_labels(predicted)
     truth = _as_labels(truth)
-    if predicted.shape != truth.shape or predicted.ndim != 1:
+    if predicted.shape != truth.shape:
         raise ShapeError("prediction and truth must be 1-D arrays of equal length")
     if predicted.size == 0:
         raise ShapeError("cannot score empty label arrays")

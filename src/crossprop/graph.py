@@ -97,16 +97,15 @@ class AffinityGraph:
     (columns ascending within a row, no duplicates) with ``intp`` indices;
     each row's weights sum to one.  The self-learned graphs store only
     positive weights; a Gaussian kernel graph may also store weights that
-    underflowed to zero.  ``structured`` records whether source rows were
-    built with the class-block / ``delta`` split, and ``source_labels`` the
-    classes that split them (``None`` for an unstructured or Gaussian graph).
+    underflowed to zero.  ``source_labels`` holds the classes of the source
+    rows, which were built with the class-block / ``delta`` split; it is
+    ``None`` for an unstructured or Gaussian graph, whose rows all spend unit
+    mass over all their candidates.
     """
 
     rows: scipy.sparse.csr_array
-    n_source: int
     k: int
     delta: float
-    structured: bool
     source_labels: np.ndarray | None = None
 
     @property
@@ -504,7 +503,7 @@ def _step_key(k, delta, labels):
     return k, delta, None if labels is None else labels.tobytes()
 
 
-def build_graph(A, k, delta, source_labels, structured=True):
+def build_graph(A, k, delta, source_labels):
     """Assemble an :class:`AffinityGraph` from a cost matrix.
 
     ``A`` is a dense ``(n, n)`` cost array such as :func:`affinity_cost`
@@ -513,15 +512,15 @@ def build_graph(A, k, delta, source_labels, structured=True):
     costs.  A :class:`RowBlockCost` keeps the row multipliers for
     :func:`quadratic_charge`.
 
-    With ``structured=True`` source rows use the class-block / ``delta``
-    split and target rows the plain update; a source row's source
-    candidates are the other sources of its class in ``source_labels``,
-    whatever ``A`` holds for the other classes, and the graph records those
-    labels.  With ``structured=False`` every row is treated like a target
-    row (unit mass over all finite candidates).  Raises
+    With ``source_labels`` the first ``source_labels.size`` rows, the
+    sources, use the class-block / ``delta`` split and the other rows the
+    plain update; a source row's source candidates are the other sources of
+    its class, whatever ``A`` holds for the other classes, and the graph
+    records those labels.  With ``source_labels=None`` every row is treated
+    like a target row (unit mass over all finite candidates).  Raises
     :class:`ArgumentError` when ``k`` is not an integer of at least 1 or
     ``delta`` is not in ``[0, 1]``, and :class:`ShapeError` when ``A`` is
-    not square.
+    not square or there are more source labels than rows.
     """
     _check_k(k)
     if not 0.0 <= delta <= 1.0:
@@ -529,28 +528,21 @@ def build_graph(A, k, delta, source_labels, structured=True):
     if len(A.shape) != 2 or A.shape[0] != A.shape[1]:
         raise ShapeError(f"cost of shape {A.shape} is not square")
     labels = None
-    if structured and source_labels is not None:
+    if source_labels is not None:
         labels = _as_labels(source_labels)
         _check_cost_inputs(A.shape[0], None, labels)
     lam, rows = _graph_step(A, k, delta, labels)
     if isinstance(A, RowBlockCost):
         A.multipliers[_step_key(k, delta, labels)] = lam
-    return AffinityGraph(
-        rows=rows,
-        n_source=np.asarray(source_labels).size if source_labels is not None else 0,
-        k=k,
-        delta=delta,
-        structured=structured,
-        source_labels=labels,
-    )
+    return AffinityGraph(rows, k, delta, labels)
 
 
-def init_graph(X, k, delta, source_labels, structured=True):
+def init_graph(X, k, delta, source_labels):
     """Initial graph built from raw-feature distances only (no label term)."""
-    return build_graph(RowBlockCost(X, None, 0.0), k, delta, source_labels, structured)
+    return build_graph(RowBlockCost(X, None, 0.0), k, delta, source_labels)
 
 
-def gaussian_knn_graph(Z, k, n_source, width=1.0):
+def gaussian_knn_graph(Z, k, *, width=1.0):
     """Fixed k-nearest-neighbour graph with Gaussian kernel weights.
 
     Weights are ``exp(-dist^2 / (2 * width^2))`` over each sample's ``k``
@@ -588,13 +580,7 @@ def gaussian_knn_graph(Z, k, n_source, width=1.0):
     weights[vanished] = 1.0 / k_eff
     indptr = np.arange(0, n * k_eff + 1, k_eff)
     rows = scipy.sparse.csr_array((weights.ravel(), cols.ravel(), indptr), shape=(n, n))
-    return AffinityGraph(
-        rows=rows,
-        n_source=n_source,
-        k=k_eff,
-        delta=0.0,
-        structured=False,
-    )
+    return AffinityGraph(rows, k_eff, 0.0)
 
 
 def laplacian(graph):

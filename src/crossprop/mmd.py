@@ -15,7 +15,7 @@ factor (``r <= C + 1``) for callers that only need ``X M X.T``.
 import numpy as np
 
 from .data import _as_labels
-from .exceptions import ArgumentError, LabelError
+from .exceptions import ArgumentError
 
 
 def _marginal_vector(n_source, n_target):
@@ -59,8 +59,8 @@ def conditional_mmd(source_labels, target_pseudo_labels, n_classes):
     -------
     M : ndarray of shape (n_s + n_t, n_s + n_t)
     """
-    source_labels = _as_labels(source_labels)
-    target_pseudo_labels = _as_labels(target_pseudo_labels)
+    source_labels = _as_labels(source_labels, n_classes)
+    target_pseudo_labels = _as_labels(target_pseudo_labels, n_classes)
     n = source_labels.size + target_pseudo_labels.size
     M = np.zeros((n, n))
     for members, e in _class_vectors(source_labels, target_pseudo_labels, n_classes):
@@ -75,9 +75,6 @@ def _class_vectors(source_labels, target_pseudo_labels, n_classes):
     ``n_s``) and ``e`` holds their indicator entries, ``1/a`` on the ``a``
     source members and ``-1/b`` on the ``b`` target members.
     """
-    for labels in (source_labels, target_pseudo_labels):
-        if labels.size and (labels.min() < 0 or labels.max() >= n_classes):
-            raise LabelError("labels must lie in [0, n_classes)")
     n_s = source_labels.size
     for c in range(n_classes):
         src = np.flatnonzero(source_labels == c)
@@ -113,8 +110,8 @@ def discrepancy_factor(source_labels, target_pseudo_labels, n_classes):
     columns are multiples of ``(1, -1)`` and are folded into one; hence
     ``r < n`` always, which is how the solver tells a factor from ``M``.
     """
-    source_labels = _as_labels(source_labels)
-    target_pseudo_labels = _as_labels(target_pseudo_labels)
+    source_labels = _as_labels(source_labels, n_classes)
+    target_pseudo_labels = _as_labels(target_pseudo_labels, n_classes)
     columns = [_marginal_vector(source_labels.size, target_pseudo_labels.size)]
     n = columns[0].size
     for members, e in _class_vectors(source_labels, target_pseudo_labels, n_classes):

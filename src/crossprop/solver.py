@@ -378,11 +378,10 @@ def fit(dataset, params=None, log_sink=None, on_iteration=None):
     d = _validate(dataset, params)
     X = dataset.features
     factor = factor_scatter(X)
-    n_s = dataset.n_source
     y_s = dataset.source_labels
     known = dataset.labeled_target_labels
     unlabeled = slice(known.size, None)
-    structured = params.ablation in ("full", "ds")
+    split = y_s if params.ablation in ("full", "ds") else None
     cost_beta = params.beta if params.ablation == "full" else 0.0
     clamp = one_hot(np.concatenate([y_s, known]), dataset.n_classes)
     truth = dataset.hidden_target_labels
@@ -390,9 +389,9 @@ def fit(dataset, params=None, log_sink=None, on_iteration=None):
         truth = truth[unlabeled]
 
     if params.ablation == "sp":
-        graph = gaussian_knn_graph(X, params.k, n_s)
+        graph = gaussian_knn_graph(X, params.k)
     else:
-        graph = init_graph(X, params.k, params.delta, y_s, structured=structured)
+        graph = init_graph(X, params.k, params.delta, split)
     scale, F, labels = _propagate(graph, clamp, known)
 
     report = FitReport(
@@ -416,13 +415,11 @@ def fit(dataset, params=None, log_sink=None, on_iteration=None):
         del graph_term  # not held through the graph step
         Z = P.T @ X
         if params.ablation == "sp":
-            graph = gaussian_knn_graph(Z, params.k, n_s)
+            graph = gaussian_knn_graph(Z, params.k)
             cost = None
         else:
             cost = RowBlockCost(Z, F, cost_beta)
-            graph = build_graph(
-                cost, params.k, params.delta, y_s, structured=structured
-            )
+            graph = build_graph(cost, params.k, params.delta, split)
         previous = labels
         scale, F, labels = _propagate(graph, clamp, known)
         change = float(np.mean(labels[unlabeled] != previous[unlabeled]))

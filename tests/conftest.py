@@ -152,7 +152,7 @@ def check_structured_graph(graph, source_labels, k, delta, atol=1e-9):
     mass delta (zero for a source sample with no same-class peer), exact
     zeros on cross-class source pairs, and the per-block sparsity budget.
     """
-    assert graph.structured
+    assert np.array_equal(graph.source_labels, source_labels)
     S = graph.toarray()
     n = graph.n_samples
     n_s = np.asarray(source_labels).size
@@ -218,16 +218,17 @@ def csr_rows(S):
     ]
 
 
-def rowwise_graph_rows(A, k, delta, source_labels, structured=True):
+def rowwise_graph_rows(A, k, delta, source_labels):
     """Row-by-row graph step: one :func:`_block_weights` call per row block.
 
     This is the per-row loop the batched row updates replace; the batched
-    rows must equal it bit for bit.
+    rows must equal it bit for bit.  ``source_labels=None`` treats every row
+    as a target row.
     """
     from crossprop.graph import _block_weights
 
     n = A.shape[0]
-    n_s = np.asarray(source_labels).size if structured else 0
+    n_s = 0 if source_labels is None else np.asarray(source_labels).size
 
     def collect(cols, weights):
         keep = weights > 0.0
@@ -263,7 +264,7 @@ def rowwise_quadratic_charge(A, graph):
     from crossprop.graph import DEGENERATE_DENOM
 
     k = graph.k
-    n_s = graph.n_source if graph.structured else 0
+    n_s = 0 if graph.source_labels is None else graph.source_labels.size
     total = 0.0
     for i, (cols, weights) in enumerate(csr_rows(graph.rows)):
         if i < n_s:

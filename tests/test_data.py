@@ -260,6 +260,14 @@ class TestLabelConsumers:
             _label_consumers(tmp_path)[name]([0.2, 0.9, 1.5, 1.99])
 
     @pytest.mark.parametrize("name", LABEL_CONSUMERS)
+    def test_two_dimensional_labels_rejected(self, tmp_path, name):
+        # conditional_mmd, discrepancy_factor and build_graph used to read
+        # these as four labels, affinity_cost raised IndexError and
+        # save_labels_csv TypeError.
+        with pytest.raises(ShapeError):
+            _label_consumers(tmp_path)[name]([[0, 0], [1, 1]])
+
+    @pytest.mark.parametrize("name", LABEL_CONSUMERS)
     def test_integral_float_labels_accepted(self, tmp_path, name):
         call = _label_consumers(tmp_path)[name]
         npt.assert_array_equal(call([0.0, 0.0, 1.0, 1.0]), call([0, 0, 1, 1]))

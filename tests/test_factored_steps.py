@@ -52,11 +52,11 @@ def graphs(rng):
     """Self-learned graphs of both kinds and kernel graphs with underflowed weights."""
     ds = make_dataset(rng)
     X, y_s = ds.features, ds.source_labels
-    yield cp.init_graph(X, 4, 0.8, y_s, structured=True)
-    yield cp.init_graph(X, 4, 0.8, y_s, structured=False)
-    yield cp.init_graph(X, 4, 1.0, y_s, structured=True)
-    yield cp.gaussian_knn_graph(X, 5, ds.n_source)
-    yield cp.gaussian_knn_graph(X, 5, ds.n_source, width=0.05)
+    yield cp.init_graph(X, 4, 0.8, y_s)
+    yield cp.init_graph(X, 4, 0.8, None)
+    yield cp.init_graph(X, 4, 1.0, y_s)
+    yield cp.gaussian_knn_graph(X, 5)
+    yield cp.gaussian_knn_graph(X, 5, width=0.05)
 
 
 def test_sparse_laplacian_matches_dense_laplacian(rng):

@@ -28,7 +28,7 @@ def target_rows(A, k, n_source):
     Unstructured rows all take the target-row update, which does not depend
     on the other rows.
     """
-    return cp.build_graph(A, k, 0.0, None, structured=False).rows[n_source:]
+    return cp.build_graph(A, k, 0.0, None).rows[n_source:]
 
 
 def source_rows(A, k, delta, source_labels):
@@ -217,10 +217,8 @@ class TestBuildAndInitGraph:
 
     def test_unstructured_rows_spread_unit_mass(self, rng):
         ds = make_dataset(rng)
-        graph = cp.init_graph(
-            ds.features, 4, 0.8, ds.source_labels, structured=False
-        )
-        assert not graph.structured
+        graph = cp.init_graph(ds.features, 4, 0.8, None)
+        assert graph.source_labels is None
         S = graph.toarray()
         npt.assert_allclose(S.sum(axis=1), 1.0, atol=1e-9)
         assert all(np.count_nonzero(S[i]) <= 4 for i in range(ds.n_samples))
@@ -246,21 +244,21 @@ class TestBuildAndInitGraph:
 class TestGaussianKnnGraph:
     def test_rows_are_normalized_kernels(self, rng):
         Z = rng.standard_normal((3, 12))
-        graph = cp.gaussian_knn_graph(Z, 4, n_source=6)
+        graph = cp.gaussian_knn_graph(Z, 4)
         S = graph.toarray()
         npt.assert_allclose(S.sum(axis=1), 1.0, atol=1e-12)
         assert all(np.count_nonzero(S[i]) == 4 for i in range(12))
 
     def test_closer_neighbors_get_larger_weight(self):
         Z = np.array([[0.0, 1.0, 3.0, 10.0]])
-        graph = cp.gaussian_knn_graph(Z, 2, n_source=0)
+        graph = cp.gaussian_knn_graph(Z, 2)
         cols, weights = csr_rows(graph.rows)[0]
         npt.assert_array_equal(cols, [1, 2])
         assert weights[0] > weights[1]
 
     def test_small_sample_count_clamps_k(self, rng):
         Z = rng.standard_normal((2, 3))
-        graph = cp.gaussian_knn_graph(Z, 10, n_source=0)
+        graph = cp.gaussian_knn_graph(Z, 10)
         assert graph.k == 2
 
 
@@ -288,14 +286,14 @@ def test_graph_builders_reject_k_below_one_or_a_single_sample(rng, builder, k, n
         elif builder == "init_graph":
             cp.init_graph(Z, k, 0.5, np.array([0, 1]))
         else:
-            cp.gaussian_knn_graph(Z, k, n_source=0)
+            cp.gaussian_knn_graph(Z, k)
 
 
 @pytest.mark.parametrize("shape", [(5, 4), (4, 5), (5,)])
 def test_build_graph_rejects_a_cost_that_is_not_square(shape):
     # A 5 x 4 cost raised an IndexError from the row blocks.
     with pytest.raises(ShapeError):
-        cp.build_graph(np.ones(shape), 2, 0.5, None, structured=False)
+        cp.build_graph(np.ones(shape), 2, 0.5, None)
 
 
 @pytest.mark.parametrize("width", [0.0, -1.0, np.nan, np.inf])
@@ -304,7 +302,13 @@ def test_gaussian_graph_rejects_a_width_that_is_not_finite_and_positive(width):
     # width NaN weights everywhere.
     Z = np.array([[0.0, 0.0, 1.0, 2.0, 3.0]])
     with pytest.raises(ArgumentError):
-        cp.gaussian_knn_graph(Z, 2, 0, width=width)
+        cp.gaussian_knn_graph(Z, 2, width=width)
+
+
+def test_gaussian_graph_takes_its_width_by_keyword_only():
+    # A third positional argument used to be a sample count, not the width.
+    with pytest.raises(TypeError):
+        cp.gaussian_knn_graph(np.array([[0.0, 1.0, 2.0, 3.0]]), 2, 1.0)
 
 
 @pytest.mark.parametrize("beta", [-0.1, np.nan, np.inf])
@@ -325,7 +329,7 @@ class TestLaplacian:
         S = (S + S.T) / 2.0
         np.fill_diagonal(S, 0.0)
         graph = cp.AffinityGraph(
-            scipy.sparse.csr_array(S), n_source=0, k=4, delta=0.0, structured=False
+            scipy.sparse.csr_array(S), k=4, delta=0.0
         )
         W, L = cp.laplacian(graph)
         npt.assert_allclose(W, S, atol=1e-15)
@@ -391,10 +395,8 @@ class TestWriteEdges:
         weights = np.array([0.25, 0.75, 1.0, 0.5, 0.5])
         graph = cp.AffinityGraph(
             rows=scipy.sparse.coo_array((weights, (rows, cols)), shape=(3, 3)).tocsr(),
-            n_source=1,
             k=2,
             delta=0.8,
-            structured=True,
         )
         sink = io.StringIO()
         cp.write_edges(graph, sink)

@@ -23,7 +23,11 @@ from conftest import csr_rows, rowwise_graph_rows, rowwise_quadratic_charge
 
 @st.composite
 def graph_problems(draw):
-    """``(A, k, delta, source_labels, structured)`` with integer-valued costs."""
+    """``(A, k, delta, split)`` with integer-valued costs.
+
+    ``split`` is the source labels of a structured graph, ``None`` for an
+    unstructured one.
+    """
     n_s = draw(st.integers(1, 8))
     n_t = draw(st.integers(1, 8))
     n = n_s + n_t
@@ -36,7 +40,7 @@ def graph_problems(draw):
     np.fill_diagonal(A, np.inf)
     k = draw(st.integers(1, n + 1))
     delta = draw(st.sampled_from([0.0, 0.8, 1.0]))
-    return A, k, delta, labels, structured
+    return A, k, delta, labels if structured else None
 
 
 def assert_rows_equal(graph, expected):
@@ -56,17 +60,17 @@ def assert_rows_equal(graph, expected):
 @settings(max_examples=300, deadline=None)
 @given(graph_problems())
 def test_batched_rows_equal_rowwise_rows(problem):
-    A, k, delta, labels, structured = problem
-    graph = cp.build_graph(A, k, delta, labels, structured=structured)
-    expected = rowwise_graph_rows(A, k, delta, labels, structured=structured)
+    A, k, delta, split = problem
+    graph = cp.build_graph(A, k, delta, split)
+    expected = rowwise_graph_rows(A, k, delta, split)
     assert_rows_equal(graph, expected)
 
 
 @settings(max_examples=300, deadline=None)
 @given(graph_problems())
 def test_batched_charge_matches_rowwise_loop(problem):
-    A, k, delta, labels, structured = problem
-    graph = cp.build_graph(A, k, delta, labels, structured=structured)
+    A, k, delta, split = problem
+    graph = cp.build_graph(A, k, delta, split)
     expected = rowwise_quadratic_charge(A, graph)
     assert quadratic_charge(A, graph) == pytest.approx(expected, rel=1e-12, abs=0.0)
 
@@ -76,11 +80,11 @@ def test_batched_charge_matches_rowwise_loop(problem):
 def test_batched_rows_equal_rowwise_rows_on_real_costs(problem, seed):
     # Continuous costs make almost every row generic, so this exercises the
     # batched path rather than the fallback rows.
-    A, k, delta, labels, structured = problem
+    A, k, delta, split = problem
     finite = np.isfinite(A)
     A[finite] = np.random.default_rng(seed).random(int(finite.sum()))
-    graph = cp.build_graph(A, k, delta, labels, structured=structured)
-    expected = rowwise_graph_rows(A, k, delta, labels, structured=structured)
+    graph = cp.build_graph(A, k, delta, split)
+    expected = rowwise_graph_rows(A, k, delta, split)
     assert_rows_equal(graph, expected)
     assert quadratic_charge(A, graph) == pytest.approx(
         rowwise_quadratic_charge(A, graph), rel=1e-12, abs=0.0
@@ -112,7 +116,7 @@ def plant(costs, kind, k, rng):
 
 @st.composite
 def hard_graph_problems(draw):
-    """``(A, k, delta, source_labels, structured, rows_per_block)``, continuous costs."""
+    """``(A, k, delta, split, rows_per_block)``, continuous costs."""
     n_s = draw(st.integers(1, 10))
     n_t = draw(st.integers(1, 10))
     n = n_s + n_t
@@ -133,7 +137,7 @@ def hard_graph_problems(draw):
         else:
             plant(A[i], kind, k, rng)
     delta = draw(st.sampled_from([0.0, 0.8, 1.0]))
-    return A, k, delta, labels, structured, draw(st.integers(1, 3))
+    return A, k, delta, labels if structured else None, draw(st.integers(1, 3))
 
 
 @settings(max_examples=300, deadline=None)
@@ -141,12 +145,12 @@ def hard_graph_problems(draw):
 def test_selection_kernel_on_ties_sparse_rows_and_flat_rows(problem):
     # Row blocks of one to three rows put fallback and generic rows, and
     # source and target blocks narrower than k + 1 columns, side by side.
-    A, k, delta, labels, structured, rows_per_block = problem
+    A, k, delta, split, rows_per_block = problem
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(crossprop.linalg, "BLOCK_BYTES", 8 * A.shape[1] * rows_per_block)
-        graph = cp.build_graph(A, k, delta, labels, structured=structured)
+        graph = cp.build_graph(A, k, delta, split)
         charge = quadratic_charge(A, graph)
-    expected = rowwise_graph_rows(A, k, delta, labels, structured=structured)
+    expected = rowwise_graph_rows(A, k, delta, split)
     assert_rows_equal(graph, expected)
     expected_charge = rowwise_quadratic_charge(A, graph)
     assert charge == pytest.approx(expected_charge, rel=1e-12, abs=0.0)
@@ -167,7 +171,7 @@ def test_gaussian_knn_rows_equal_rowwise_rows(problem):
     # every kernel weight of far-away rows to zero.
     values, k, width = problem
     Z = np.array(values, dtype=float).reshape(2, -1)
-    graph = cp.gaussian_knn_graph(Z, k, n_source=0, width=width)
+    graph = cp.gaussian_knn_graph(Z, k, width=width)
     D = cp.pairwise_sq_dists(Z)
     np.fill_diagonal(D, np.inf)
     expected = []

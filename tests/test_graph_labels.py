@@ -12,6 +12,7 @@ import pytest
 
 import crossprop as cp
 import crossprop.graph
+from crossprop.exceptions import ShapeError
 from crossprop.graph import RowBlockCost, quadratic_charge
 
 
@@ -27,9 +28,9 @@ def structured():
 def test_graph_records_its_source_labels(structured):
     Z, labels, graph = structured
     np.testing.assert_array_equal(graph.source_labels, labels, strict=False)
-    loose = cp.build_graph(RowBlockCost(Z, None, 0.0), 3, 0.8, labels, structured=False)
+    loose = cp.build_graph(RowBlockCost(Z, None, 0.0), 3, 0.8, None)
     assert loose.source_labels is None
-    assert cp.gaussian_knn_graph(Z, 3, labels.size).source_labels is None
+    assert cp.gaussian_knn_graph(Z, 3).source_labels is None
 
 
 def test_structured_charge_does_not_depend_on_the_cost_naming_classes(structured):
@@ -72,3 +73,28 @@ def test_fit_objective_reuses_the_graph_step_multipliers(monkeypatch, ablation):
     monkeypatch.setattr(crossprop.graph, "_graph_step", counting)
     report = cp.fit(ds, cp.HyperParams(k=5, iterations=4, ablation=ablation))
     assert len(reruns) == (report.iterations if ablation == "sp" else 0)
+
+
+@pytest.mark.parametrize("ablation", ["full", "sp", "dg", "ds"])
+def test_fit_graphs_are_split_by_the_source_labels_only_when_structured(ablation):
+    ds = cp.gen_synthetic_shift(0, per_class=20, n_classes=3)
+    states = []
+    params = cp.HyperParams(k=5, iterations=4, ablation=ablation)
+    cp.fit(ds, params, on_iteration=states.append)
+    assert states
+    for state in states:
+        if ablation in ("full", "ds"):
+            np.testing.assert_array_equal(
+                state.graph.source_labels, ds.source_labels, strict=True
+            )
+        else:
+            assert state.graph.source_labels is None
+
+
+def test_more_source_labels_than_samples_rejected():
+    X = np.random.default_rng(1).standard_normal((2, 8))
+    too_many = np.zeros(20, dtype=int)
+    with pytest.raises(ShapeError):
+        cp.build_graph(cp.affinity_cost(X, None, 0.0), 2, 0.8, too_many)
+    with pytest.raises(ShapeError):
+        cp.init_graph(X, 2, 0.8, too_many)

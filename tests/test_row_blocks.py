@@ -67,7 +67,7 @@ def assert_invariants(graph, labels, k, delta):
     assert np.all(S.data > 0.0)
     assert np.all(S.diagonal() == 0.0)
     rows = csr_rows(S)
-    if not graph.structured:
+    if graph.source_labels is None:
         assert all(cols.size <= k for cols, _ in rows)
         return
     n_s = labels.size
@@ -90,12 +90,12 @@ def test_row_blocks_equal_dense_cost(problem, block):
     n = Z.shape[1]
     mask = labels if structured else None
     dense = cp.affinity_cost(Z, F, beta, mask)
-    expected = cp.build_graph(dense, k, delta, labels, structured=structured)
+    expected = cp.build_graph(dense, k, delta, mask)
     with blocks_of(block, n):
         cost = RowBlockCost(Z, F, beta)
-        graph = cp.build_graph(cost, k, delta, labels, structured=structured)
+        graph = cp.build_graph(cost, k, delta, mask)
         streamed = quadratic_charge(RowBlockCost(Z, F, beta), graph)
-        blocked_dense = cp.build_graph(dense, k, delta, labels, structured=structured)
+        blocked_dense = cp.build_graph(dense, k, delta, mask)
     assert_same_rows(graph, expected)
     assert_same_rows(blocked_dense, expected)
     assert len(cost.multipliers) == 1
@@ -114,7 +114,7 @@ def test_charge_skips_edges_the_dense_cost_masks(problem, block):
     Z, F, beta, labels, k, delta, _ = problem
     unmasked = cp.affinity_cost(Z, F, beta)
     masked = cp.affinity_cost(Z, F, beta, labels)
-    loose = cp.build_graph(unmasked, k, delta, labels, structured=False)
+    loose = cp.build_graph(unmasked, k, delta, None)
     with blocks_of(block, Z.shape[1]):
         streamed = quadratic_charge(RowBlockCost(Z, F, beta), loose)
         charge = quadratic_charge(masked, loose)
@@ -131,7 +131,7 @@ def test_objective_without_a_cost_matrix_reads_row_blocks(problem, block):
     Z, F, beta, labels, k, delta, structured = problem
     n = Z.shape[1]
     mask = labels if structured else None
-    graph = cp.build_graph(cp.affinity_cost(Z, F, beta, mask), k, delta, labels, structured)
+    graph = cp.build_graph(cp.affinity_cost(Z, F, beta, mask), k, delta, mask)
     X = np.vstack([Z, np.ones((1, n))])
     P = np.eye(X.shape[0])[:, : Z.shape[0]]
     E = np.ones((n, 1)) / n
@@ -155,9 +155,9 @@ def test_objective_without_a_cost_matrix_reads_row_blocks(problem, block):
 def test_gaussian_knn_rows_do_not_depend_on_the_block_size(problem):
     values, k, block = problem
     Z = np.array(values, dtype=float).reshape(2, -1)
-    expected = cp.gaussian_knn_graph(Z, k, n_source=0)
+    expected = cp.gaussian_knn_graph(Z, k)
     with blocks_of(block, Z.shape[1]):
-        graph = cp.gaussian_knn_graph(Z, k, n_source=0)
+        graph = cp.gaussian_knn_graph(Z, k)
     assert_same_rows(graph, expected)
 
 
@@ -217,7 +217,7 @@ def test_graph_step_holds_about_three_row_blocks(mib):
         cost = RowBlockCost(ds.features, F, 0.1)
         tracemalloc.start()
         try:
-            graph = cp.build_graph(cost, 20, 0.8, ds.source_labels, structured=True)
+            graph = cp.build_graph(cost, 20, 0.8, ds.source_labels)
             retained, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

@@ -31,7 +31,7 @@ def random_graph(rng, n, k):
         (weights.ravel(), cols.ravel(), np.arange(0, n * k + 1, k)), shape=(n, n)
     )
     rows.sort_indices()
-    return cp.AffinityGraph(rows, n_source=0, k=k, delta=0.0, structured=False)
+    return cp.AffinityGraph(rows, k=k, delta=0.0)
 
 
 @pytest.mark.parametrize(
@@ -60,7 +60,7 @@ def test_matches_the_generalized_eigensolver(graph_term, m, n):
 
 
 def test_row_laplacian_has_the_laplacian_as_its_symmetric_part(rng):
-    for graph in (random_graph(rng, 40, 4), cp.gaussian_knn_graph(rng.random((3, 30)), 5, 10)):
+    for graph in (random_graph(rng, 40, 4), cp.gaussian_knn_graph(rng.random((3, 30)), 5)):
         H = cp.row_laplacian(graph)
         L = cp.sparse_laplacian(graph)
         assert isinstance(H, scipy.sparse.csr_array)

@@ -63,12 +63,12 @@ def test_discrepancy_matrices_equal_outer_product_sums(problem):
 @pytest.mark.parametrize("structured", [True, False])
 def test_laplacian_of_graph_equals_dense_formula(rng, structured):
     ds = make_dataset(rng)
-    graph = cp.init_graph(ds.features, 4, 0.8, ds.source_labels, structured=structured)
+    graph = cp.init_graph(ds.features, 4, 0.8, ds.source_labels if structured else None)
     S = graph.toarray()
     W_ref = (S + S.T) / 2.0
     L_ref = np.diag(W_ref.sum(axis=1)) - W_ref
     rows_only = cp.AffinityGraph(
-        scipy.sparse.csr_array(S), n_source=0, k=4, delta=0.0, structured=False
+        scipy.sparse.csr_array(S), k=4, delta=0.0
     )
     for W, L in (cp.laplacian(graph), cp.laplacian(rows_only)):
         assert np.array_equal(W, W_ref)
