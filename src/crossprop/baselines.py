@@ -11,7 +11,7 @@ import numpy as np
 
 from .data import _as_labels
 from .exceptions import ArgumentError, ConvergenceError, ShapeError
-from .graph import RowBlockCost, _cost_blocks, block_multiplier
+from .graph import RowBlockCost, _map_row_blocks, block_multiplier
 
 QP_MAX_ITER = 10_000
 QP_TOL = 1e-8
@@ -35,7 +35,7 @@ def nearest_neighbor(train_features, train_labels, test_features):
         Label of each test sample's nearest training sample; distance ties
         go to the lowest training index.  The test x train distances are
         read a block of test rows at a time, through the graph step's
-        :func:`crossprop.graph._cost_blocks`.
+        :func:`crossprop.graph._map_row_blocks`.
     """
     train_labels = _as_labels(train_labels)
     train_features = np.asarray(train_features, dtype=float)
@@ -52,8 +52,12 @@ def nearest_neighbor(train_features, train_labels, test_features):
     dists = RowBlockCost(np.hstack([train_features, test_features]), None, 0.0)
     test = np.arange(p, dists.shape[0])
     nearest = np.empty(test.size, dtype=np.intp)
-    for rows, _, (D,) in _cost_blocks(dists, [(test, (np.arange(p),))]):
-        nearest[rows - p] = np.argmin(D, axis=1)
+
+    def argmin(rows, col_sets, costs, work):
+        return np.argmin(costs[0], axis=1)
+
+    for rows, near in _map_row_blocks(dists, [(test, (np.arange(p),))], argmin):
+        nearest[rows - p] = near
     return train_labels[nearest]
 
 

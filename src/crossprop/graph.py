@@ -25,40 +25,48 @@ regimes:
   decide this split, and the graph records them.
 
 Every row needs only its ``k + 1`` smallest block costs, so the updates work
-on blocks of rows at once and read each cost block in one pass:
-:func:`_closed_form` takes one ``np.argpartition`` per cost block, which
-picks each row's ``k + 1`` smallest costs with their columns, and sorts only
-those, giving every row's boundary ``a[k]`` and denominator.  A row is
-generic when its ``a[k]`` is finite and its denominator is not degenerate;
-its nonzero weights are then ``(a[k] - c) / denom`` at the picked costs
-``c < a[k]``, the same arithmetic as :func:`_block_weights`, and a tie at
-``a[k]`` carries zero weight, so the result does not depend on which tied
-columns were picked.  A source row's ``delta`` share needs a same-class peer,
-which exists exactly when its smallest picked source cost is finite.  Only
-the fallback rows (at most ``k`` finite candidates, or a degenerate
-denominator) need the order of tied costs; :func:`_stable_smallest` ranks
-just those rows by one stable sort, ties to the lower column, and they get
-uniform weights as in :func:`_block_weights`.  The multipliers ``lam`` of
-:func:`quadratic_charge` and :func:`block_multiplier` come from the same
-selection.
+on blocks of rows at once: :func:`_closed_form` partitions a copy of each
+cost block in place, which puts every row's ``k + 1`` smallest costs first,
+and sorts only those, giving every row's smallest cost, boundary ``a[k]``
+and denominator.  One comparison with ``a[k]`` then gives each row's
+columns strictly below it, in ascending order.  A row is generic when its
+``a[k]`` is finite and its denominator is not degenerate; its nonzero
+weights are then ``(a[k] - c) / denom`` at exactly those columns, the same
+arithmetic as :func:`_block_weights`.  A tie at ``a[k]`` carries zero weight
+and is never selected, so no result depends on the order of tied costs.  A
+source row's ``delta`` share needs a same-class peer, which exists exactly
+when its smallest source cost is finite.  Only the fallback rows (at most
+``k`` finite candidates, or a degenerate denominator) need the order of
+tied costs; :func:`_stable_smallest` ranks just those rows by one stable
+sort, ties to the lower column, and they get uniform weights as in
+:func:`_block_weights`.  The multipliers ``lam`` of :func:`quadratic_charge`
+and :func:`block_multiplier` come from the same selection.
 
 The graph step reads its costs by groups of rows that share their
 candidate columns (:func:`_row_groups`): the source rows of each class
 against that class's sources and against the targets, and the target rows
-against all samples.  Each group comes in blocks of rows of about
-:data:`crossprop.linalg.BLOCK_BYTES` bytes of candidate costs, and the
-selected local columns map back through the group's column sets.
-:func:`build_graph` and :func:`quadratic_charge` accept a dense cost array
-(:func:`affinity_cost`), read as ``A[np.ix_(rows, cols)]``, or a
-:class:`RowBlockCost`, which computes each block from the sample
-coordinates into one reused buffer; both go through the same per-block
-loop, :func:`_graph_step`.  The fit only uses :class:`RowBlockCost`, so it
-never builds an ``n x n`` cost matrix.  :func:`build_graph` leaves the row
-multipliers it computed in the :class:`RowBlockCost`, and
-:func:`quadratic_charge` reads them from there instead of running the closed
-form a second time.  :func:`gaussian_knn_graph` and
-:func:`crossprop.baselines.nearest_neighbor` pick their nearest candidates
-from the same row blocks, the kNN graph with the same selection.
+against all samples.  The rows are independent, so :func:`_map_row_blocks`
+runs the blocks of rows of a pass on one worker per core.  Each of ``w``
+workers reads blocks of about ``crossprop.linalg.BLOCK_BYTES / w`` bytes of
+candidate costs into a cost buffer and a work buffer that the calling
+thread allocates once per pass, and the selected local columns map back
+through the group's column sets.  The calling thread writes the
+multipliers and stacks the rows in block order, so the graph does not
+depend on thread scheduling.  The block shapes do depend on the core
+count, and with them the BLAS products that compute the costs, so weights
+can move in the last place (about 1e-13) from one core count to another;
+at equal block shapes they are bit-identical.  :func:`build_graph` and
+:func:`quadratic_charge` accept a dense cost array (:func:`affinity_cost`),
+read as ``A[np.ix_(rows, cols)]``, or a :class:`RowBlockCost`, which
+computes each block from the sample coordinates; both go through the same
+per-block step, :func:`_graph_step`.  The fit only uses
+:class:`RowBlockCost`, so it never builds an ``n x n`` cost matrix.
+:func:`build_graph` leaves the row multipliers it computed in the
+:class:`RowBlockCost`, and :func:`quadratic_charge` reads them from there
+instead of running the closed form a second time.
+:func:`gaussian_knn_graph` and :func:`crossprop.baselines.nearest_neighbor`
+pick their nearest candidates through the same map over row blocks, the kNN
+graph with the same selection.
 
 A graph is stored as one ``scipy.sparse.csr_array`` from the graph step to
 the CLI.  The solver's Laplacian is a ``csr_array`` too
@@ -70,6 +78,8 @@ inspection and tests.
 import numbers
 import os
 import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -80,6 +90,7 @@ from .data import _as_labels
 from .exceptions import ArgumentError, ShapeError
 from .linalg import (
     block_rows,
+    gather_columns,
     pairwise_sq_dists,
     sq_dist_operand,
     sq_dist_rows,
@@ -87,6 +98,20 @@ from .linalg import (
 )
 
 DEGENERATE_DENOM = 1e-12
+
+PARALLEL_ENTRIES = 1 << 19
+"""Fewest cost entries a pass of :func:`_map_row_blocks` gives each worker.
+
+A smaller pass runs on fewer workers, and a pass of less than twice this
+many entries runs on the calling thread alone, in blocks of the whole
+:data:`crossprop.linalg.BLOCK_BYTES`.  Below that size, starting threads
+and handing the interpreter lock between them cost about what the second
+core saves.  On a 2-core Xeon, a structured graph step at n = 900 (675 000
+entries) took 12.8 ms on two workers against 11.8 ms on one with one BLAS
+thread, and the n = 900 fits of the ablation acceptance test took 6.8 s
+against 5.2 s with two BLAS threads, while a step at n = 3000 (7.5 million
+entries) took 56 ms against 86 ms with one BLAS thread.
+"""
 
 
 @dataclass
@@ -178,12 +203,11 @@ def affinity_cost(Z, F, beta, source_labels=None):
 class RowBlockCost:
     """The unmasked cost matrix of :func:`affinity_cost`, served a block at a time.
 
-    Only the sample coordinates are held.  :meth:`blocks` computes the costs
-    of a few rows against their candidate column sets into one buffer of
-    about :data:`crossprop.linalg.BLOCK_BYTES` bytes that the whole pass
-    reuses, so no ``n x n`` array is built.  Entries are the same costs as
-    :func:`affinity_cost` up to rounding (exactly the same for integer
-    coordinates and soft labels).
+    Only the sample coordinates are held.  :meth:`fill` computes the costs
+    of a few rows against their candidate column sets into buffers that
+    :func:`_map_row_blocks` allocates once per pass, so no ``n x n`` array
+    is built.  Entries are the same costs as :func:`affinity_cost` up to
+    rounding (exactly the same for integer coordinates and soft labels).
 
     There is no mask: the only infinite cost is the diagonal, which no graph
     stores.  The graph step hands a structured source row only its own
@@ -199,60 +223,64 @@ class RowBlockCost:
         n = np.shape(Z)[1]
         _check_cost_inputs(n, F, None, beta)
         self.shape = (n, n)
-        self._z = sq_dist_operand(Z)
         self.beta = float(beta)
-        self._f = None
+        self._operands = [sq_dist_operand(Z)]
         if F is not None and beta != 0.0:
-            self._f = sq_dist_operand(np.asarray(F, dtype=float).T)
+            self._operands.append(sq_dist_operand(np.asarray(F, dtype=float).T))
         self.multipliers = {}
 
-    def blocks(self, groups):
-        """Yield ``(rows, col_sets, costs)`` for each row chunk of each group.
+    def work_size(self, n_rows, col_sets):
+        """Entries of the work buffer :meth:`fill` needs for ``n_rows`` rows against ``col_sets``."""
+        size = 0
+        for j, op in enumerate(self._operands):
+            for cols in col_sets:
+                gathered = 0 if _consecutive(cols) else cols.size
+                label_cost = n_rows * cols.size if j else 0
+                size = max(size, op.shape[0] * (n_rows + gathered) + label_cost)
+        return size
 
-        ``groups`` holds ``(chunks, col_sets)`` pairs: arrays of row indices
-        and the ascending arrays of column indices they are read against.
-        ``costs`` lists one ``(len(rows), len(cols))`` block per column set,
-        views of the pass's buffer that the next chunk overwrites; a row's
-        own column costs ``+inf``.  A set of consecutive columns is read as a
-        view of the coordinates, any other set is gathered once per group.
+    def fill(self, rows, col_sets, out, work):
+        """The costs of ``rows`` against each of ``col_sets``, one block per set.
+
+        ``col_sets`` are ascending arrays of column indices.  The blocks are
+        consecutive views of the flat buffer ``out``.  ``work`` is a flat
+        buffer of :meth:`work_size` entries, which holds the left operands,
+        the column sets' coordinates and the label costs, so nothing
+        block-sized is allocated.  A set of consecutive columns is read as a
+        view of the coordinates, any other set is gathered.  A row's own
+        column costs ``+inf``.
         """
-        operands = [self._z] if self._f is None else [self._z, self._f]
-        sizes = [
-            [rows.size * cols.size for cols in col_sets]
-            for chunks, col_sets in groups
-            for rows in chunks
-        ]
-        out = np.empty(max(map(sum, sizes), default=0))
-        if self._f is not None:
-            scratch = np.empty(max(map(max, sizes), default=0))
-        for chunks, col_sets in groups:
-            columns = [[_columns(op, cols) for op in operands] for cols in col_sets]
-            for rows in chunks:
-                left = [sq_dist_rows(op, rows) for op in operands]
-                costs, at = [], 0
-                for cols, right in zip(col_sets, columns):
-                    block = out[at : at + rows.size * cols.size].reshape(rows.size, -1)
-                    at += block.size
-                    sq_dists_into(block, left[0], right[0])
-                    if self._f is not None:
-                        label_cost = scratch[: block.size].reshape(block.shape)
-                        sq_dists_into(label_cost, left[1], right[1])
-                        label_cost *= self.beta
-                        block += label_cost
-                    pos = np.searchsorted(cols, rows)
-                    own = pos < cols.size
-                    own[own] = cols[pos[own]] == rows[own]
-                    block[own, pos[own]] = np.inf
-                    costs.append(block)
-                del left  # not held while the caller selects from the blocks
-                yield rows, col_sets, costs
+        blocks, at = [], 0
+        for cols in col_sets:
+            blocks.append(out[at : at + rows.size * cols.size].reshape(rows.size, -1))
+            at += rows.size * cols.size
+        for j, op in enumerate(self._operands):
+            left = sq_dist_rows(op, rows, work)
+            rest = work[left.size :]
+            for block, cols in zip(blocks, col_sets):
+                if _consecutive(cols):
+                    right, used = op[:, cols[0] : cols[-1] + 1], 0
+                else:
+                    right = gather_columns(op, cols, rest)
+                    used = right.size
+                if not j:
+                    sq_dists_into(block, left, right)
+                    continue
+                label_cost = rest[used : used + block.size].reshape(block.shape)
+                sq_dists_into(label_cost, left, right)
+                label_cost *= self.beta
+                block += label_cost
+        for block, cols in zip(blocks, col_sets):
+            pos = np.searchsorted(cols, rows)
+            own = pos < cols.size
+            own[own] = cols[pos[own]] == rows[own]
+            block[own, pos[own]] = np.inf
+        return blocks
 
 
-def _columns(operand, cols):
-    """The columns ``cols`` (ascending) of ``operand``: a view when they are consecutive."""
-    if cols.size and cols[-1] - cols[0] + 1 == cols.size:
-        return operand[:, cols[0] : cols[-1] + 1]
-    return operand[:, cols]
+def _consecutive(cols):
+    """Whether the ascending column indices ``cols`` are consecutive and not empty."""
+    return cols.size > 0 and cols[-1] - cols[0] + 1 == cols.size
 
 
 def _row_groups(n, labels):
@@ -275,26 +303,91 @@ def _row_groups(n, labels):
     return groups + [(targets, (everything,))]
 
 
-def _cost_blocks(A, groups):
-    """``(rows, col_sets, costs)`` for each block of rows of each of ``groups``.
+def _worker_count():
+    """Workers of :func:`_map_row_blocks`: the cores this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no CPU affinity on this platform
+        return os.cpu_count() or 1
 
-    ``A`` is a dense cost array, read as ``A[np.ix_(rows, cols)]``, or a
-    :class:`RowBlockCost`, which computes the blocks.  ``costs`` lists one
-    block per column set.  A block holds at most
-    :func:`crossprop.linalg.block_rows` rows of its group's candidate width.
+
+def _map_row_blocks(A, groups, task):
+    """``(rows, task(rows, col_sets, costs, work))`` for every row block of ``groups``, in order.
+
+    ``groups`` holds ``(rows, col_sets)`` pairs (:func:`_row_groups`).  ``A``
+    is a dense cost array, read as ``A[np.ix_(rows, cols)]``, or a
+    :class:`RowBlockCost`, which computes the blocks
+    (:meth:`RowBlockCost.fill`); ``costs`` lists one block per column set.
+    ``work`` is a flat float buffer of at least the largest block's size,
+    which ``task`` may overwrite; a result must not refer to it.
+
+    A pass has one worker per core (:func:`_worker_count`), but at most as
+    many as give each worker :data:`PARALLEL_ENTRIES` cost entries.  Each
+    group's rows come in blocks of :func:`crossprop.linalg.block_rows` rows
+    of the group's candidate width, under an equal share of
+    :data:`crossprop.linalg.BLOCK_BYTES` for each worker.  The calling
+    thread allocates each worker's cost and work buffers once per call, so
+    a worker reading a :class:`RowBlockCost` allocates nothing block-sized.
+    The calling thread is one of the workers, and the others run on a
+    thread pool opened and closed within the call; a pass with one worker
+    or one block runs inline.  One worker at a time computes costs, so at
+    most one BLAS product runs at once: a single-threaded BLAS overlaps with
+    the other workers' selections, and a multithreaded one is not
+    oversubscribed.  The results come in block order, so they do not depend
+    on thread scheduling.
     """
-    chunked = []
+    streamed = isinstance(A, RowBlockCost)
+    entries = sum(rows.size * sum(map(len, col_sets)) for rows, col_sets in groups)
+    workers = max(1, min(_worker_count(), entries // PARALLEL_ENTRIES))
+    chunks, cost_size, work_size = [], 0, 0
     for rows, col_sets in groups:
-        step = block_rows(sum(cols.size for cols in col_sets))
-        chunks = [rows[i : i + step] for i in range(0, rows.size, step)]
-        chunked.append((chunks, col_sets))
-    if isinstance(A, RowBlockCost):
-        return A.blocks(chunked)
-    return (
-        (rows, col_sets, [A[np.ix_(rows, cols)] for cols in col_sets])
-        for chunks, col_sets in chunked
-        for rows in chunks
-    )
+        widths = [cols.size for cols in col_sets]
+        step = block_rows(sum(widths), workers)
+        n_rows = min(step, rows.size)
+        work_size = max(work_size, n_rows * max(widths))
+        if streamed and n_rows:
+            cost_size = max(cost_size, n_rows * sum(widths))
+            work_size = max(work_size, A.work_size(n_rows, col_sets))
+        chunks += [(rows[i : i + step], col_sets) for i in range(0, rows.size, step)]
+    buffers = [
+        (np.empty(cost_size), np.empty(work_size))
+        for _ in range(min(workers, len(chunks)))
+    ]
+
+    costing = threading.Lock()
+
+    def run(chunk, buffer):
+        rows, col_sets = chunk
+        out, work = buffer
+        if streamed:
+            with costing:
+                costs = A.fill(rows, col_sets, out, work)
+        else:
+            costs = [A[np.ix_(rows, cols)] for cols in col_sets]
+        return rows, task(rows, col_sets, costs, work)
+
+    if len(buffers) <= 1:
+        return [run(chunk, buffers[0]) for chunk in chunks]
+    results = [None] * len(chunks)
+    pending = iter(enumerate(chunks))
+    lock = threading.Lock()
+
+    def drain(buffer):
+        while True:
+            with lock:
+                item = next(pending, None)
+            if item is None:
+                return
+            i, chunk = item
+            results[i] = run(chunk, buffer)
+
+    # The calling thread is one of the workers.
+    with ThreadPoolExecutor(len(buffers) - 1) as pool:
+        helpers = [pool.submit(drain, buffer) for buffer in buffers[1:]]
+        drain(buffers[0])
+        for helper in helpers:
+            helper.result()
+    return results
 
 
 def _block_weights(costs, k):
@@ -326,44 +419,62 @@ def _block_weights(costs, k):
 
 
 class _Selection(NamedTuple):
-    """Each row's ``s = min(k + 1, candidates)`` smallest costs of a block."""
+    """Each row's nonzero-weight candidates and closed-form constants in a block.
 
-    cols: np.ndarray  # (rows, s) their columns, ascending
-    costs: np.ndarray  # (rows, s) the costs at ``cols``
-    boundary: np.ndarray  # (rows,) a[k], the largest of them (+inf when s <= k)
+    ``s = min(k + 1, candidates)``.  A row's columns strictly below its
+    ``a[k]`` come first in ``cols``, ascending, then zero-weight padding
+    (column 0 at cost ``+inf``).  There are at most ``k`` of them, or, when
+    ``a[k]`` is infinite (``s <= k``, or at most ``k`` finite candidates),
+    all the row's finite candidates, at most ``s``.
+    """
+
+    cols: np.ndarray  # (rows, s) the columns below a[k], then padding
+    costs: np.ndarray  # (rows, s) the costs at ``cols``, +inf at padding
+    smallest: np.ndarray  # (rows,) a[0], +inf for a row without candidates
+    boundary: np.ndarray  # (rows,) a[k], +inf when the row has at most k finite costs
     denom: np.ndarray  # (rows,) k * a[k] - sum(a[:k]), zero off generic rows
 
 
-def _closed_form(costs, k):
+def _closed_form(costs, k, work):
     """Closed-form selection of every row of a cost block, in one pass.
 
     ``costs`` is a ``(rows, candidates)`` block with ``+inf`` marking the
-    excluded candidates.  One ``np.argpartition`` per block picks each row's
-    ``k + 1`` smallest costs, so the block itself is read once; only the
-    picked costs are sorted.  A row is generic exactly when its ``a[k]`` is
-    finite (it has more than ``k`` finite candidates), and ``denom`` is
+    excluded candidates; ``work`` is a flat float buffer of at least
+    ``costs.size`` entries, which is overwritten.  A copy of the block in
+    ``work`` is partitioned in place, which puts each row's ``k + 1``
+    smallest costs first; only those are sorted, giving ``a[0]``, the
+    boundary ``a[k]`` and the denominator.  Then a mask of the costs
+    strictly below ``a[k]``, written over the copy, gives each row's
+    columns in ascending order.  A row is generic exactly when its ``a[k]``
+    is finite (it has more than ``k`` finite candidates), and ``denom`` is
     computed on those rows only, so ``denom > DEGENERATE_DENOM`` marks
-    exactly the rows that :func:`_block_weights` treats generically.
-    Whichever of several tied columns the selection picks, the sorted costs
-    are the same multiset, so ``boundary`` and ``denom`` do not depend on it.
+    exactly the rows that :func:`_block_weights` treats generically.  Tied
+    costs at ``a[k]`` are left out, so nothing depends on the order of ties.
     """
     n_rows, n_cols = costs.shape
     s = min(k + 1, n_cols)
+    ranked = np.full((n_rows, 1), np.inf)
     if s:
-        # Sorting copies the columns, so the full index block is freed on return.
-        cols = np.sort(np.argpartition(costs, s - 1, axis=1)[:, :s], axis=1)
-    else:
-        cols = np.empty((n_rows, 0), dtype=np.intp)
-    picked = np.take_along_axis(costs, cols, axis=1)
+        copy = work[: costs.size].reshape(costs.shape)
+        np.copyto(copy, costs)
+        copy.partition(s - 1, axis=1)
+        ranked = np.sort(copy[:, :s], axis=1)
     boundary = np.full(n_rows, np.inf)
     denom = np.zeros(n_rows)
     if s > k:
-        ranked = np.sort(picked, axis=1)
         boundary = ranked[:, k]
         generic = boundary < np.inf
         top = ranked[generic]
         denom[generic] = k * top[:, k] - top[:, :k].sum(axis=1)
-    return _Selection(cols, picked, boundary, denom)
+    below = work.view(np.bool_)[: costs.size].reshape(costs.shape)
+    np.less(costs, boundary[:, None], out=below)
+    row, col = np.divmod(np.flatnonzero(below), max(n_cols, 1))
+    slot = np.arange(row.size) - np.searchsorted(row, row)
+    cols = np.zeros((n_rows, s), dtype=np.intp)
+    picked = np.full((n_rows, s), np.inf)
+    cols[row, slot] = col
+    picked[row, slot] = costs[row, col]
+    return _Selection(cols, picked, ranked[:, 0], boundary, denom)
 
 
 def _multipliers(denom, mass):
@@ -382,7 +493,8 @@ def block_multiplier(costs, k, mass):
     selection.  Blocks handled by a uniform fallback, and blocks without
     mass, carry no quadratic charge (``lam = 0``).
     """
-    denom = _closed_form(np.asarray(costs, dtype=float).reshape(1, -1), k).denom
+    costs = np.asarray(costs, dtype=float).reshape(1, -1)
+    denom = _closed_form(costs, k, np.empty(costs.size)).denom
     return float(_multipliers(denom, mass)[0])
 
 
@@ -392,8 +504,7 @@ def _source_mass(src, delta):
     ``delta`` where the row's smallest source cost is finite (it has a
     same-class peer), zero otherwise; the cost block is not read again.
     """
-    smallest = src.costs.min(axis=1, initial=np.inf)
-    return np.where(smallest < np.inf, float(delta), 0.0)
+    return np.where(src.smallest < np.inf, float(delta), 0.0)
 
 
 def _stable_smallest(costs, rows, s):
@@ -411,14 +522,14 @@ def _block_rows(costs, k, mass, sel):
     ``costs`` is a ``(rows, candidates)`` block (``+inf`` = excluded),
     ``mass`` holds one mass per row and ``sel`` is the block's
     :func:`_closed_form`.  A generic row's nonzero weights are
-    ``(a[k] - c) / denom`` at its picked costs ``c < a[k]``, which are all
-    of the row's costs below ``a[k]``; a tie at ``a[k]`` has zero weight.
-    A fallback row spends its mass uniformly over the finite costs among its
+    ``(a[k] - c) / denom`` at its selected costs ``c``, which are all of the
+    row's costs below ``a[k]``; a tie at ``a[k]`` is not selected.  A
+    fallback row spends its mass uniformly over the finite costs among its
     ``k`` smallest by :func:`_stable_smallest` (all its finite costs when it
     has at most ``k``), as :func:`_block_weights` does; they fit the row's
-    picked slots.  Returns
-    ``(cols, weights)`` of the selection's shape, zero weight in unused slots;
-    the columns of each row's positive weights are ascending.
+    ``s`` slots.  Returns ``(cols, weights)`` of the selection's shape, zero
+    weight in unused slots; the columns of each row's positive weights are
+    ascending.
     """
     batched = sel.denom > DEGENERATE_DENOM
     limit = np.where(batched, sel.boundary, -np.inf)
@@ -467,25 +578,31 @@ def _graph_step(A, k, delta, labels, build=True):
         The graph rows, built only when ``build`` is true.
     """
     n = A.shape[0]
-    lam = np.zeros((n, 2))
-    parts, order = [], []
-    for rows, col_sets, costs in _cost_blocks(A, _row_groups(n, labels)):
-        sels = [_closed_form(block, k) for block in costs]
+
+    def rows_of(rows, col_sets, costs, work):
+        sels = [_closed_form(block, k, work) for block in costs]
         if len(costs) == 2:
             src_mass = _source_mass(sels[0], delta)
             masses = [src_mass, 1.0 - src_mass]
         else:
             masses = [np.ones(rows.size)]
+        lams = [_multipliers(sel.denom, mass) for sel, mass in zip(sels, masses)]
+        if not build:
+            return lams, None
         slots = []
-        blocks = zip(costs, sels, masses, col_sets)
-        for b, (block, sel, mass, cols) in enumerate(blocks):
-            lam[rows, b] = _multipliers(sel.denom, mass)
-            if build:
-                local, weights = _block_rows(block, k, mass, sel)
-                slots.append((cols[local], weights))
+        for block, sel, mass, cols in zip(costs, sels, masses, col_sets):
+            local, weights = _block_rows(block, k, mass, sel)
+            slots.append((cols[local], weights))
+        cols, weights = (np.hstack(e) for e in zip(*slots))
+        return lams, _csr_rows(cols, weights, n)
+
+    lam = np.zeros((n, 2))
+    parts, order = [], []
+    for rows, (lams, part) in _map_row_blocks(A, _row_groups(n, labels), rows_of):
+        for b, values in enumerate(lams):
+            lam[rows, b] = values
         if build:
-            cols, weights = (np.hstack(e) for e in zip(*slots))
-            parts.append(_csr_rows(cols, weights, n))
+            parts.append(part)
             order.append(rows)
     if not build:
         return lam, None
@@ -563,16 +680,23 @@ def gaussian_knn_graph(Z, k, *, width=1.0):
     if n < 2:
         raise ArgumentError(f"{n} samples: need at least 2")
     k_eff = min(k, n - 1)
-    cols = np.empty((n, k_eff), dtype=np.intp)
-    sq = np.empty((n, k_eff))
-    for rows, _, (D,) in _cost_blocks(dists, _row_groups(n, None)):
-        sel = _closed_form(D, k_eff)
+
+    def nearest(rows, col_sets, costs, work):
+        (D,) = costs
+        sel = _closed_form(D, k_eff, work)
         below = sel.costs < sel.boundary[:, None]
         tied = np.count_nonzero(below, axis=1) < k_eff
         near = np.empty((rows.size, k_eff), dtype=np.intp)
         near[~tied] = sel.cols[below & ~tied[:, None]].reshape(-1, k_eff)
         near[tied] = _stable_smallest(D, tied, k_eff)
-        cols[rows], sq[rows] = near, np.take_along_axis(D, near, axis=1)
+        return near, np.take_along_axis(D, near, axis=1)
+
+    cols = np.empty((n, k_eff), dtype=np.intp)
+    sq = np.empty((n, k_eff))
+    for rows, (near, near_sq) in _map_row_blocks(
+        dists, _row_groups(n, None), nearest
+    ):
+        cols[rows], sq[rows] = near, near_sq
     weights = np.exp(-sq / (2.0 * width**2))
     total = weights.sum(axis=1)
     vanished = total <= 0.0

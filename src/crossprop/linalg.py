@@ -30,17 +30,18 @@ from .exceptions import DimensionError, SingularMatrix, SingularPencil
 RIDGE_EPS = 1e-6
 
 BLOCK_BYTES = 4 << 20
-"""Bytes of one row block of a distance or cost matrix (4 MiB).
+"""Bytes of row blocks of a distance or cost matrix (4 MiB): a budget the workers share.
 
-A block holds as many rows as fit in this many bytes of their candidate
-costs: all ``n`` columns for a target row, its class's sources plus the
-targets for a source row of the graph step.  The graph step holds about
-three blocks at once (the cost buffer, the label cost scratch and the index
-block of the closed form's ``np.argpartition``), which can set a fit's peak
-memory.  On a 2-core Xeon with one BLAS thread, a 3-class, 10-D fit at
-n = 3000 peaked at 106.5 MB of RSS with 8 MiB blocks, 94.3 MB with 4 MiB
-and 91.9 MB with 2 MiB, at fit times equal within run-to-run noise; an
-800-D fit at n = 1800 peaked at about 125 MB with all three.
+The graph step runs its row blocks on one worker per core, and each of its
+``w`` workers reads blocks of ``BLOCK_BYTES / w``: as many rows as fit in
+that many bytes of their candidate costs, all ``n`` columns for a target
+row, its class's sources plus the targets for a source row.  Each worker
+holds a cost block and a work block of that size, which the calling thread
+allocates once per pass, so the step holds about two blocks of this budget
+at once, whatever the worker count: under ``tracemalloc`` a structured
+3-class step at n = 3000 held 2.0-2.3 blocks with 1, 2 or 4 workers, where
+a step that gave each block its own ``np.argpartition`` index array held
+3.1.  That working set can set a fit's peak memory.
 """
 
 
@@ -75,9 +76,9 @@ def pairwise_sq_dists(Z):
     return D
 
 
-def block_rows(n_cols):
-    """Rows of a float64 block of about :data:`BLOCK_BYTES` bytes with ``n_cols`` columns."""
-    return max(1, BLOCK_BYTES // (8 * max(n_cols, 1)))
+def block_rows(n_cols, workers=1):
+    """Rows of a float64 block of about ``BLOCK_BYTES / workers`` bytes with ``n_cols`` columns."""
+    return max(1, BLOCK_BYTES // (8 * workers * max(n_cols, 1)))
 
 
 def sq_dist_operand(Z):
@@ -87,16 +88,33 @@ def sq_dist_operand(Z):
     return np.vstack([Z, ones, np.einsum("ij,ij->j", Z, Z)[None, :]])
 
 
-def sq_dist_rows(B, rows):
+def gather_columns(B, cols, out):
+    """The columns ``cols`` of ``B``, gathered into the front of the flat buffer ``out``.
+
+    The result keeps the memory order of ``B`` and is a view of ``out``,
+    which needs at least ``B.shape[0] * cols.size`` entries.
+    """
+    h, q = B.shape[0], cols.size
+    # np.take copies a source that is not C-ordered whole, so a
+    # Fortran-ordered B is gathered as the rows of B.T; mode "raise" would
+    # gather through a temporary.
+    if B.flags.f_contiguous:
+        gathered = out[: h * q].reshape(q, h)
+        return np.take(B.T, cols, axis=0, out=gathered, mode="clip").T
+    gathered = out[: h * q].reshape(h, q)
+    return np.take(B, cols, axis=1, out=gathered, mode="clip")
+
+
+def sq_dist_rows(B, rows, out):
     """``[-2 a; ||a||^2; 1]`` of the :func:`sq_dist_operand` columns ``rows`` of ``B``.
 
-    ``rows`` is an array of column indices.  The gather is the only copy:
-    the result is scaled and its last two rows swapped in place, and ``B``
-    is left as it was.  It is the left operand of :func:`sq_dists_into` and
-    keeps the memory order of ``B`` (``np.take`` would first copy a
-    Fortran-ordered ``B`` whole, while indexing gathers from it directly).
+    ``rows`` is an array of column indices.  The result is a view of the
+    flat buffer ``out`` (:func:`gather_columns`), and the gather is the
+    only copy: it is scaled and its last two rows swapped in place, and
+    ``B`` is left as it was.  It is the left operand of
+    :func:`sq_dists_into`.
     """
-    left = B[:, rows] if B.flags.f_contiguous else np.take(B, rows, axis=1)
+    left = gather_columns(B, rows, out)
     left[:-2] *= -2.0
     left[-2:] = left[:-3:-1].copy()
     return left

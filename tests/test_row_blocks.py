@@ -7,7 +7,7 @@ partial.  Coordinates and soft labels are small integers, so every cost is
 exact in both forms, ties are common and the rows must agree bit for bit.
 The last tests run whole fits, a graph step and a harmonic solve under
 ``tracemalloc``: none of them holds an ``n x n`` array, and the graph step
-holds about three row blocks.
+holds about two row blocks, on one worker or several.
 """
 
 import tracemalloc
@@ -203,11 +203,21 @@ def test_fit_holds_no_n_by_n_array(monkeypatch, ablation):
     assert peak < 8 * n * n
 
 
-@pytest.mark.parametrize("mib", [1, 4])
-def test_graph_step_holds_about_three_row_blocks(mib):
-    # The graph step's peak is its working set: the cost buffer, the label
-    # cost scratch and the index block of the closed form's argpartition,
-    # one block each.
+@pytest.mark.parametrize(
+    "mib, workers",
+    [
+        pytest.param(mib, w, id=f"{mib}-{w}w" if w > 1 else str(mib))
+        for w in (1, 2, 4)
+        for mib in (1, 4)
+    ],
+)
+def test_graph_step_holds_about_three_row_blocks(monkeypatch, mib, workers):
+    # The graph step's peak is its working set: each worker's cost block and
+    # work block, of BLOCK_BYTES / workers each, which the calling thread
+    # allocates once per pass.  The work block holds the label cost
+    # scratch, then the partitioned copy of the costs and then the mask of
+    # each row's picks, so no worker allocates a block of its own.
+    monkeypatch.setattr(crossprop.graph, "_worker_count", lambda: workers)
     ds = cp.gen_synthetic_shift(
         0, per_class=500, n_classes=3, rotation_deg=35.0, shift=(2.0, 1.0)
     )
