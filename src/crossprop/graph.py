@@ -46,16 +46,17 @@ The graph step reads its costs by groups of rows that share their
 candidate columns (:func:`_row_groups`): the source rows of each class
 against that class's sources and against the targets, and the target rows
 against all samples.  The rows are independent, so :func:`_map_row_blocks`
-runs the blocks of rows of a pass on one worker per core.  Each of ``w``
-workers reads blocks of about ``crossprop.linalg.BLOCK_BYTES / w`` bytes of
-candidate costs into a cost buffer and a work buffer that the calling
-thread allocates once per pass, and the selected local columns map back
-through the group's column sets.  The calling thread writes the
-multipliers and stacks the rows in block order, so the graph does not
-depend on thread scheduling.  The block shapes do depend on the core
-count, and with them the BLAS products that compute the costs, so weights
-can move in the last place (about 1e-13) from one core count to another;
-at equal block shapes they are bit-identical.  :func:`build_graph` and
+runs the blocks of rows of a pass on one worker per core, up to
+:data:`MAX_WORKERS`.  A pass is cut for ``w`` workers by its size alone,
+and each worker reads blocks of about ``crossprop.linalg.BLOCK_BYTES / w``
+bytes of candidate costs into a cost buffer and a work buffer that the
+calling thread allocates once per pass; the selected local columns map
+back through the group's column sets.  The calling thread writes the
+multipliers and stacks the rows in block order, so the graph depends
+neither on thread scheduling nor on the host's core count.  Blocks of
+other shapes change the BLAS products that compute the costs, so a
+different :data:`crossprop.linalg.BLOCK_BYTES` can move weights in the
+last place (about 1e-13).  :func:`build_graph` and
 :func:`quadratic_charge` accept a dense cost array (:func:`affinity_cost`),
 read as ``A[np.ix_(rows, cols)]``, or a :class:`RowBlockCost`, which
 computes each block from the sample coordinates; both go through the same
@@ -99,6 +100,16 @@ from .linalg import (
 
 DEGENERATE_DENOM = 1e-12
 
+MAX_WORKERS = 2
+"""Most workers a pass of :func:`_map_row_blocks` is cut for.
+
+Every timing behind this module's parallel rules was taken on a 2-core
+Xeon, and one worker at a time computes costs, about 31 of the 80 ms of a
+structured graph step at n = 3000 on one core, so no core count could make
+that step more than about 2.6 times faster.  A host with more cores has not
+been measured; until one is, no pass runs on more than two workers.
+"""
+
 PARALLEL_ENTRIES = 1 << 19
 """Fewest cost entries a pass of :func:`_map_row_blocks` gives each worker.
 
@@ -110,7 +121,8 @@ core saves.  On a 2-core Xeon, a structured graph step at n = 900 (675 000
 entries) took 12.8 ms on two workers against 11.8 ms on one with one BLAS
 thread, and the n = 900 fits of the ablation acceptance test took 6.8 s
 against 5.2 s with two BLAS threads, while a step at n = 3000 (7.5 million
-entries) took 56 ms against 86 ms with one BLAS thread.
+entries) took 56 ms against 86 ms with one BLAS thread.  No pass runs on
+more than :data:`MAX_WORKERS` workers, the count these figures cover.
 """
 
 
@@ -321,28 +333,34 @@ def _map_row_blocks(A, groups, task):
     ``work`` is a flat float buffer of at least the largest block's size,
     which ``task`` may overwrite; a result must not refer to it.
 
-    A pass has one worker per core (:func:`_worker_count`), but at most as
-    many as give each worker :data:`PARALLEL_ENTRIES` cost entries.  Each
-    group's rows come in blocks of :func:`crossprop.linalg.block_rows` rows
-    of the group's candidate width, under an equal share of
-    :data:`crossprop.linalg.BLOCK_BYTES` for each worker.  The calling
-    thread allocates each worker's cost and work buffers once per call, so
-    a worker reading a :class:`RowBlockCost` allocates nothing block-sized.
-    The calling thread is one of the workers, and the others run on a
-    thread pool opened and closed within the call; a pass with one worker
-    or one block runs inline.  One worker at a time computes costs, so at
-    most one BLAS product runs at once: a single-threaded BLAS overlaps with
-    the other workers' selections, and a multithreaded one is not
+    A pass is cut for ``w`` workers from its own size alone: at most
+    :data:`MAX_WORKERS`, at most as many as give each worker
+    :data:`PARALLEL_ENTRIES` cost entries, and at most as many as
+    :data:`crossprop.linalg.BLOCK_BYTES` holds rows of the widest group, so
+    no worker's share of the budget falls below one row.  Each group's rows
+    come in blocks of :func:`crossprop.linalg.block_rows` rows of ``w``
+    times the group's candidate width, an equal share of the budget for
+    each worker.  The block shapes, and with them the bits of every result,
+    do not depend on the host.  The pass runs on ``w`` workers, or on as
+    many as there are cores (:func:`_worker_count`) or blocks if fewer.
+    The calling thread allocates each worker's cost and work buffers once
+    per call, so a worker reading a :class:`RowBlockCost` allocates nothing
+    block-sized.  The calling thread is one of the workers, and the others
+    run on a thread pool opened and closed within the call; a pass with one
+    worker runs inline.  One worker at a time computes costs, so at most
+    one BLAS product runs at once: a single-threaded BLAS overlaps with the
+    other workers' selections, and a multithreaded one is not
     oversubscribed.  The results come in block order, so they do not depend
     on thread scheduling.
     """
     streamed = isinstance(A, RowBlockCost)
     entries = sum(rows.size * sum(map(len, col_sets)) for rows, col_sets in groups)
-    workers = max(1, min(_worker_count(), entries // PARALLEL_ENTRIES))
+    widest = max(sum(map(len, col_sets)) for _, col_sets in groups)
+    workers = max(1, min(MAX_WORKERS, entries // PARALLEL_ENTRIES, block_rows(widest)))
     chunks, cost_size, work_size = [], 0, 0
     for rows, col_sets in groups:
         widths = [cols.size for cols in col_sets]
-        step = block_rows(sum(widths), workers)
+        step = block_rows(sum(widths) * workers)
         n_rows = min(step, rows.size)
         work_size = max(work_size, n_rows * max(widths))
         if streamed and n_rows:
@@ -351,7 +369,7 @@ def _map_row_blocks(A, groups, task):
         chunks += [(rows[i : i + step], col_sets) for i in range(0, rows.size, step)]
     buffers = [
         (np.empty(cost_size), np.empty(work_size))
-        for _ in range(min(workers, len(chunks)))
+        for _ in range(min(workers, _worker_count(), len(chunks)))
     ]
 
     costing = threading.Lock()

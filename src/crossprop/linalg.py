@@ -32,16 +32,19 @@ RIDGE_EPS = 1e-6
 BLOCK_BYTES = 4 << 20
 """Bytes of row blocks of a distance or cost matrix (4 MiB): a budget the workers share.
 
-The graph step runs its row blocks on one worker per core, and each of its
-``w`` workers reads blocks of ``BLOCK_BYTES / w``: as many rows as fit in
-that many bytes of their candidate costs, all ``n`` columns for a target
-row, its class's sources plus the targets for a source row.  Each worker
-holds a cost block and a work block of that size, which the calling thread
-allocates once per pass, so the step holds about two blocks of this budget
-at once, whatever the worker count: under ``tracemalloc`` a structured
-3-class step at n = 3000 held 2.0-2.3 blocks with 1, 2 or 4 workers, where
-a step that gave each block its own ``np.argpartition`` index array held
-3.1.  That working set can set a fit's peak memory.
+The graph step cuts each pass for ``w`` workers (at most
+:data:`crossprop.graph.MAX_WORKERS`), and each reads blocks of
+``BLOCK_BYTES / w``: as many rows as fit in that many bytes of their
+candidate costs, all ``n`` columns for a target row, its class's sources
+plus the targets for a source row.  Each worker holds a cost block and a
+work block of that size, which the calling thread allocates once per pass,
+so the step holds about two blocks of this budget at once, whatever the
+worker count.  A pass is cut for no more workers than the budget holds
+rows of its widest candidate set, so no worker's share is less than a row.
+Under ``tracemalloc`` a structured 3-class step at n = 3000
+held 1.1-1.6 blocks on one core and 2.1-2.2 on two or four, where a step that gave each block
+its own ``np.argpartition`` index array held 3.1.  That working set can set
+a fit's peak memory.
 """
 
 
@@ -76,9 +79,9 @@ def pairwise_sq_dists(Z):
     return D
 
 
-def block_rows(n_cols, workers=1):
-    """Rows of a float64 block of about ``BLOCK_BYTES / workers`` bytes with ``n_cols`` columns."""
-    return max(1, BLOCK_BYTES // (8 * workers * max(n_cols, 1)))
+def block_rows(n_cols):
+    """Rows of a float64 block of about :data:`BLOCK_BYTES` bytes with ``n_cols`` columns."""
+    return max(1, BLOCK_BYTES // (8 * max(n_cols, 1)))
 
 
 def sq_dist_operand(Z):

@@ -204,20 +204,21 @@ def test_fit_holds_no_n_by_n_array(monkeypatch, ablation):
 
 
 @pytest.mark.parametrize(
-    "mib, workers",
+    "mib, cores",
     [
         pytest.param(mib, w, id=f"{mib}-{w}w" if w > 1 else str(mib))
         for w in (1, 2, 4)
         for mib in (1, 4)
     ],
 )
-def test_graph_step_holds_about_three_row_blocks(monkeypatch, mib, workers):
+def test_graph_step_holds_about_three_row_blocks(monkeypatch, mib, cores):
     # The graph step's peak is its working set: each worker's cost block and
-    # work block, of BLOCK_BYTES / workers each, which the calling thread
-    # allocates once per pass.  The work block holds the label cost
+    # work block, of BLOCK_BYTES / w each for a pass cut for w workers, which
+    # the calling thread allocates once per pass.  Four cores still run on
+    # at most MAX_WORKERS workers.  The work block holds the label cost
     # scratch, then the partitioned copy of the costs and then the mask of
     # each row's picks, so no worker allocates a block of its own.
-    monkeypatch.setattr(crossprop.graph, "_worker_count", lambda: workers)
+    monkeypatch.setattr(crossprop.graph, "_worker_count", lambda: cores)
     ds = cp.gen_synthetic_shift(
         0, per_class=500, n_classes=3, rotation_deg=35.0, shift=(2.0, 1.0)
     )

@@ -1,12 +1,11 @@
 """The graph step's row blocks on a pool of workers.
 
 :func:`crossprop.graph._map_row_blocks` runs the row blocks of a pass on one
-worker per core.  Its results must not depend on the worker count once the
-block geometry is fixed: each of ``w`` workers reads blocks of
-``BLOCK_BYTES / w``, so one worker at a budget of ``B`` and two workers at
-``2 B`` read the same blocks and must give the same bits.  The pool lives
-only inside a call, so no thread outlives a fit and a forked child can run
-the graph step again.
+worker per core, up to ``MAX_WORKERS``.  A pass is cut into blocks by its
+size alone, so its results must not depend on the core count: one, two and
+four cores read the same blocks and must give the same bits.  The pool
+lives only inside a call, so no thread outlives a fit and a forked child
+can run the graph step again.
 """
 
 import multiprocessing
@@ -21,7 +20,7 @@ import crossprop.linalg
 from crossprop.graph import RowBlockCost, _graph_step
 
 N_SOURCE, N_TARGET = 61, 52
-ROWS = 7  # rows of a block against all samples at the one-worker budget
+ROWS = 7  # rows of a block against all samples
 
 
 def problem():
@@ -34,21 +33,21 @@ def problem():
 
 
 def workers(monkeypatch, count):
-    """Force ``count`` workers at a budget of ``count`` one-worker blocks."""
+    """Force ``count`` cores, every pass cut for two workers of ``ROWS``-row blocks."""
     n = N_SOURCE + N_TARGET
     monkeypatch.setattr(crossprop.graph, "_worker_count", lambda: count)
     monkeypatch.setattr(crossprop.graph, "PARALLEL_ENTRIES", 1)
-    monkeypatch.setattr(crossprop.linalg, "BLOCK_BYTES", count * 8 * n * ROWS)
+    monkeypatch.setattr(crossprop.linalg, "BLOCK_BYTES", 2 * 8 * n * ROWS)
 
 
 def pools(monkeypatch):
-    """Count the thread pools :func:`_map_row_blocks` opens."""
+    """The helper threads of each pool :func:`_map_row_blocks` opens."""
     opened = []
     executor = crossprop.graph.ThreadPoolExecutor
 
-    def counting(*args, **kwargs):
-        opened.append(1)
-        return executor(*args, **kwargs)
+    def counting(helpers):
+        opened.append(helpers)
+        return executor(helpers)
 
     monkeypatch.setattr(crossprop.graph, "ThreadPoolExecutor", counting)
     return opened
@@ -68,7 +67,7 @@ def test_graph_step_is_bit_identical_across_worker_counts(
     Z, F, labels = problem()
     mask = labels if structured else None
     results = []
-    for count in (1, 2):
+    for count in (1, 2, 4):
         with monkeypatch.context() as mp:
             workers(mp, count)
             opened = pools(mp)
@@ -78,13 +77,13 @@ def test_graph_step_is_bit_identical_across_worker_counts(
                 cost = cp.affinity_cost(Z, F, beta, mask)
             graph = cp.build_graph(cost, 5, 0.8, mask)
             lam, rows = _graph_step(cost, 5, 0.8, mask)
-        assert len(opened) == 2 * (count - 1)
+        assert opened == ([] if count == 1 else [1, 1])
         results.append((graph.rows, rows, lam))
-    (S1, R1, lam1), (S2, R2, lam2) = results
-    assert_same_csr(S1, S2)
-    assert_same_csr(R1, S1)
-    assert_same_csr(R2, S2)
-    np.testing.assert_array_equal(lam1, lam2, strict=True)
+    S1, _, lam1 = results[0]
+    for S, R, lam in results:
+        assert_same_csr(S, S1)
+        assert_same_csr(R, S1)
+        np.testing.assert_array_equal(lam, lam1, strict=True)
 
 
 def test_knn_graph_and_nearest_neighbor_are_bit_identical_across_worker_counts(
@@ -92,7 +91,7 @@ def test_knn_graph_and_nearest_neighbor_are_bit_identical_across_worker_counts(
 ):
     Z, _, labels = problem()
     graphs, predictions = [], []
-    for count in (1, 2):
+    for count in (1, 2, 4):
         with monkeypatch.context() as mp:
             workers(mp, count)
             opened = pools(mp)
@@ -100,9 +99,28 @@ def test_knn_graph_and_nearest_neighbor_are_bit_identical_across_worker_counts(
             predictions.append(
                 cp.nearest_neighbor(Z[:, :N_SOURCE], labels, Z[:, N_SOURCE:])
             )
-        assert len(opened) == 2 * (count - 1)
-    assert_same_csr(*graphs)
-    np.testing.assert_array_equal(*predictions, strict=True)
+        assert opened == ([] if count == 1 else [1, 1])
+    for graph, prediction in zip(graphs, predictions):
+        assert_same_csr(graph, graphs[0])
+        np.testing.assert_array_equal(prediction, predictions[0], strict=True)
+
+
+def test_no_pass_runs_on_more_workers_than_it_is_cut_for(monkeypatch):
+    # Four cores, but the budget holds one row of all samples: the pass is
+    # cut for one worker in one-row blocks and runs inline, so it holds one
+    # cost row and one work row, not four of each.  At two rows it is cut
+    # for two workers in the same blocks.
+    Z, F, labels = problem()
+    n = N_SOURCE + N_TARGET
+    monkeypatch.setattr(crossprop.graph, "_worker_count", lambda: 4)
+    monkeypatch.setattr(crossprop.graph, "PARALLEL_ENTRIES", 1)
+    opened = pools(monkeypatch)
+    built = []
+    for rows in (1, 2):
+        monkeypatch.setattr(crossprop.linalg, "BLOCK_BYTES", 8 * n * rows)
+        built.append(cp.build_graph(RowBlockCost(Z, F, 0.1), 5, 0.8, labels).rows)
+        assert opened == [1] * (rows - 1)
+    assert_same_csr(*built)
 
 
 def test_fit_leaves_no_thread_behind(monkeypatch):
