@@ -182,8 +182,10 @@ def cmd_fit(args):
             raise ShapeError(
                 f"truth file has {truth.size} rows, expected {n_unlabeled}"
             )
-        ds.hidden_target_labels = np.concatenate(
-            [ds.labeled_target_labels, truth]
+        # replace() runs the dataset's checks on the truth labels too.
+        ds = dataclasses.replace(
+            ds,
+            hidden_target_labels=np.concatenate([ds.labeled_target_labels, truth]),
         )
 
     last_graph = []

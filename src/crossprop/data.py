@@ -95,7 +95,9 @@ class Dataset:
             empty = int(np.flatnonzero(counts == 0)[0])
             raise LabelError(f"source class {empty} has no samples")
         if self.hidden_target_labels is not None:
-            self.hidden_target_labels = _as_labels(self.hidden_target_labels)
+            self.hidden_target_labels = _as_labels(
+                self.hidden_target_labels, self.n_classes
+            )
             if self.hidden_target_labels.shape != (self.n_target,):
                 raise ShapeError("hidden_target_labels length must equal n_target")
 

@@ -61,7 +61,9 @@ last place (about 1e-13).  :func:`build_graph` and
 read as ``A[np.ix_(rows, cols)]``, or a :class:`RowBlockCost`, which
 computes each block from the sample coordinates; both go through the same
 per-block step, :func:`_graph_step`.  The fit only uses
-:class:`RowBlockCost`, so it never builds an ``n x n`` cost matrix.
+:class:`RowBlockCost`, so it never builds an ``n x n`` cost matrix, and
+reads it over the cost-space coordinates of :func:`cost_space`, so each
+block of costs is one product.
 :func:`build_graph` leaves the row multipliers it computed in the
 :class:`RowBlockCost`, and :func:`quadratic_charge` reads them from there
 instead of running the closed form a second time.
@@ -104,10 +106,13 @@ MAX_WORKERS = 2
 """Most workers a pass of :func:`_map_row_blocks` is cut for.
 
 Every timing behind this module's parallel rules was taken on a 2-core
-Xeon, and one worker at a time computes costs, about 31 of the 80 ms of a
-structured graph step at n = 3000 on one core, so no core count could make
-that step more than about 2.6 times faster.  A host with more cores has not
-been measured; until one is, no pass runs on more than two workers.
+Xeon, and one worker at a time computes costs.  On one core that was about
+31 of the 80 ms of the fit's structured graph step at n = 3000 while it
+read feature and label costs as two products, and about 14 of 68 ms since
+it reads them from the cost-space coordinates of :func:`cost_space`, so no
+core count could make that step more than about 5 times faster.  A host
+with more cores has not been measured; until one is, no pass runs on more
+than two workers.
 """
 
 PARALLEL_ENTRIES = 1 << 19
@@ -212,6 +217,23 @@ def affinity_cost(Z, F, beta, source_labels=None):
     return A
 
 
+def cost_space(Z, F, beta):
+    """The cost-space coordinates ``[Z; sqrt(beta) * F.T]``, or ``Z`` when ``beta`` is 0.
+
+    Their squared distances are the costs of :func:`affinity_cost`,
+    ``||z_i - z_j||^2 + beta * ||F_i - F_j||^2``, up to rounding, so
+    ``RowBlockCost(cost_space(Z, F, beta), None, 0.0)`` computes each block
+    of costs with one product.  The values are exactly those of
+    ``RowBlockCost(Z, F, beta)`` when ``sqrt(beta)`` is exact and the
+    coordinates and soft labels are small integers.
+    """
+    Z = np.asarray(Z, dtype=float)
+    _check_cost_inputs(Z.shape[1], F, None, beta)
+    if F is None or beta == 0.0:
+        return Z
+    return np.vstack([Z, np.sqrt(beta) * np.asarray(F, dtype=float).T])
+
+
 class RowBlockCost:
     """The unmasked cost matrix of :func:`affinity_cost`, served a block at a time.
 
@@ -220,6 +242,15 @@ class RowBlockCost:
     :func:`_map_row_blocks` allocates once per pass, so no ``n x n`` array
     is built.  Entries are the same costs as :func:`affinity_cost` up to
     rounding (exactly the same for integer coordinates and soft labels).
+
+    With soft labels ``F`` and ``beta > 0`` each block takes two products,
+    one for the feature and one for the label distances, added as
+    ``affinity_cost`` adds them; this two-operand form is the exact
+    reference against :func:`affinity_cost`.  The fit instead holds the
+    cost-space coordinates of :func:`cost_space`, ``RowBlockCost(U, None,
+    0.0)``, whose costs are squared distances computed with one product per
+    block.  The two forms round differently, which moves graph weights in
+    the last place (about 1e-13).
 
     There is no mask: the only infinite cost is the diagonal, which no graph
     stores.  The graph step hands a structured source row only its own

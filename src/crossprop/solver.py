@@ -28,9 +28,12 @@ Each outer iteration alternates three exact subproblem solutions:
 
 2. **Graph step.**  Row-wise closed-form updates of the affinity graph from
    the cost matrix ``||z_i - z_j||^2 + beta * ||F_i - F_j||^2`` (see
-   :mod:`crossprop.graph`).  The cost is a
-   :class:`crossprop.graph.RowBlockCost`: it holds only ``Z`` and ``F``
-   and computes the costs a block of rows at a time into one reused buffer,
+   :mod:`crossprop.graph`).  These costs are the squared distances between
+   the cost-space coordinates ``U = [Z; sqrt(beta) * F.T]``
+   (:func:`crossprop.graph.cost_space`; just ``Z`` when ``beta`` is 0).
+   The cost is a :class:`crossprop.graph.RowBlockCost` of ``U``: it holds
+   only those coordinates and computes the costs a block of rows at a time,
+   one matrix product per block and candidate set, into one reused buffer,
    so no ``n x n`` cost matrix is built, and it keeps the row multipliers of
    the graph step for the objective.  The class split of the source rows is
    the graph step's own: :func:`crossprop.graph.build_graph` takes the
@@ -73,6 +76,7 @@ from .exceptions import ConfigError, DimensionError
 from .graph import (
     RowBlockCost,
     build_graph,
+    cost_space,
     gaussian_knn_graph,
     init_graph,
     quadratic_charge,
@@ -418,7 +422,7 @@ def fit(dataset, params=None, log_sink=None, on_iteration=None):
             graph = gaussian_knn_graph(Z, params.k)
             cost = None
         else:
-            cost = RowBlockCost(Z, F, cost_beta)
+            cost = RowBlockCost(cost_space(Z, F, cost_beta), None, 0.0)
             graph = build_graph(cost, params.k, params.delta, split)
         previous = labels
         scale, F, labels = _propagate(graph, clamp, known)

@@ -342,6 +342,16 @@ class TestExitCodes:
         cfg = write_config(tmp / "fit.cfg", fit_table(tmp, truth=tmp / "short.csv"))
         assert cli.main(["fit", "--config", cfg]) == 3
 
+    @pytest.mark.parametrize("bad", [-1, 7])
+    def test_truth_label_outside_the_classes_is_data_error(self, synth_files, bad):
+        tmp = synth_files
+        truth = np.zeros(36, dtype=int)
+        truth[5] = bad
+        save_labels_csv(str(tmp / "bad.csv"), truth)
+        cfg = write_config(tmp / "fit.cfg", fit_table(tmp, truth=tmp / "bad.csv"))
+        assert cli.main(["fit", "--config", cfg]) == 3
+        assert not (tmp / "report.txt").exists()
+
     def test_numerical_failure_maps_to_exit_4(self, synth_files, monkeypatch):
         tmp = synth_files
         cfg = write_config(tmp / "fit.cfg", fit_table(tmp))

@@ -123,6 +123,19 @@ class TestDatasetInvariants:
                 hidden_target_labels=[0],
             )
 
+    @pytest.mark.parametrize("hidden", [[0, -1], [7, 1]])
+    def test_hidden_labels_outside_the_classes_rejected(self, rng, hidden):
+        with pytest.raises(LabelError):
+            Dataset(
+                features=rng.standard_normal((3, 5)),
+                n_source=3,
+                n_labeled_target=0,
+                n_unlabeled_target=2,
+                source_labels=[0, 1, 2],
+                n_classes=3,
+                hidden_target_labels=hidden,
+            )
+
 
 class TestHyperParams:
     def test_defaults(self):
