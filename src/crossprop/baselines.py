@@ -36,6 +36,14 @@ def nearest_neighbor(train_features, train_labels, test_features):
         go to the lowest training index.  The test x train distances are
         read a block of test rows at a time, through the graph step's
         :func:`crossprop.graph._map_row_blocks`.
+
+    Raises
+    ------
+    ShapeError
+        If the feature matrices are not 2-D or do not fit each other or the
+        labels.
+    ArgumentError
+        If a feature value is not finite.
     """
     train_labels = _as_labels(train_labels)
     train_features = np.asarray(train_features, dtype=float)

@@ -34,9 +34,13 @@ MATRIX_MAGIC = b"CDGSMAT1"
 CSV_FLOAT_FMT = "%.12g"
 
 
-@dataclass
+@dataclass(frozen=True)
 class Dataset:
     """A cross-domain sample collection.
+
+    The fields are checked once, at construction, so they cannot be
+    assigned afterwards; :func:`dataclasses.replace` builds a checked copy.
+    The arrays' contents stay writable.
 
     Parameters
     ----------
@@ -67,12 +71,17 @@ class Dataset:
     hidden_target_labels: np.ndarray | None = None
 
     def __post_init__(self):
-        self.features = np.asarray(self.features, dtype=float)
+        # The dataclass is frozen, so the checked values are set this way.
+        object.__setattr__(self, "features", np.asarray(self.features, dtype=float))
         if self.n_classes <= 0:
             raise LabelError("n_classes must be positive")
-        self.source_labels = _as_labels(self.source_labels, self.n_classes)
-        self.labeled_target_labels = _as_labels(
-            self.labeled_target_labels, self.n_classes
+        object.__setattr__(
+            self, "source_labels", _as_labels(self.source_labels, self.n_classes)
+        )
+        object.__setattr__(
+            self,
+            "labeled_target_labels",
+            _as_labels(self.labeled_target_labels, self.n_classes),
         )
         if self.features.ndim != 2:
             raise ShapeError("features must be a 2-D matrix")
@@ -95,8 +104,10 @@ class Dataset:
             empty = int(np.flatnonzero(counts == 0)[0])
             raise LabelError(f"source class {empty} has no samples")
         if self.hidden_target_labels is not None:
-            self.hidden_target_labels = _as_labels(
-                self.hidden_target_labels, self.n_classes
+            object.__setattr__(
+                self,
+                "hidden_target_labels",
+                _as_labels(self.hidden_target_labels, self.n_classes),
             )
             if self.hidden_target_labels.shape != (self.n_target,):
                 raise ShapeError("hidden_target_labels length must equal n_target")

@@ -28,19 +28,22 @@ Every row needs only its ``k + 1`` smallest block costs, so the updates work
 on blocks of rows at once: :func:`_closed_form` partitions a copy of each
 cost block in place, which puts every row's ``k + 1`` smallest costs first,
 and sorts only those, giving every row's smallest cost, boundary ``a[k]``
-and denominator.  One comparison with ``a[k]`` then gives each row's
-columns strictly below it, in ascending order.  A row is generic when its
-``a[k]`` is finite and its denominator is not degenerate; its nonzero
-weights are then ``(a[k] - c) / denom`` at exactly those columns, the same
-arithmetic as :func:`_block_weights`.  A tie at ``a[k]`` carries zero weight
-and is never selected, so no result depends on the order of tied costs.  A
-source row's ``delta`` share needs a same-class peer, which exists exactly
-when its smallest source cost is finite.  Only the fallback rows (at most
-``k`` finite candidates, or a degenerate denominator) need the order of
-tied costs; :func:`_stable_smallest` ranks just those rows by one stable
-sort, ties to the lower column, and they get uniform weights as in
-:func:`_block_weights`.  The multipliers ``lam`` of :func:`quadratic_charge`
-and :func:`block_multiplier` come from the same selection.
+and denominator.  A row is generic when its ``a[k]`` is finite and its
+denominator is not degenerate.  One comparison of the block with each
+generic row's ``a[k]`` (:func:`_below`) then gives the block's edges as
+flat ``(row, col)`` pairs, row-major, and their weights
+``(a[k] - c) / denom``, the same arithmetic as :func:`_block_weights`.  A
+tie at ``a[k]`` carries zero weight and is never selected, so no result
+depends on the order of tied costs.  A source row's ``delta`` share needs a
+same-class peer, which exists exactly when its smallest source cost is
+finite.  Only the fallback rows (at most ``k`` finite candidates, or a
+degenerate denominator) need the order of tied costs;
+:func:`_stable_smallest` ranks just those rows by one stable sort, ties to
+the lower column, and they get uniform weights as in
+:func:`_block_weights`.  Each block's flat ``(row, col, weight)`` edges
+become one CSR part (:func:`_csr`).  The multipliers ``lam`` of
+:func:`quadratic_charge` and :func:`block_multiplier` come from the same
+closed form.
 
 The graph step reads its costs by groups of rows that share their
 candidate columns (:func:`_row_groups`): the source rows of each class
@@ -173,6 +176,27 @@ def _check_cost_inputs(n, F, source_labels, beta=0.0):
         raise ArgumentError(f"beta={beta} must be finite and non-negative")
 
 
+def _coordinates(Z, F=None):
+    """``Z`` and ``F`` as float arrays, checked as sample coordinates and soft labels.
+
+    Raises :class:`ShapeError` when ``Z`` or ``F`` is not 2-D, and
+    :class:`ArgumentError` when either holds a value that is not finite: its
+    costs would be NaN or infinite, and no graph row is defined over them.
+    """
+    Z = np.asarray(Z, dtype=float)
+    if Z.ndim != 2:
+        raise ShapeError(f"coordinates of shape {Z.shape} are not a 2-D matrix")
+    if not np.isfinite(Z).all():
+        raise ArgumentError("coordinates must be finite")
+    if F is not None:
+        F = np.asarray(F, dtype=float)
+        if F.ndim != 2:
+            raise ShapeError(f"soft labels of shape {F.shape} are not a 2-D matrix")
+        if not np.isfinite(F).all():
+            raise ArgumentError("soft labels must be finite")
+    return Z, F
+
+
 def _check_k(k):
     if isinstance(k, bool) or not isinstance(k, numbers.Integral) or k < 1:
         raise ArgumentError(f"k={k!r} must be an integer of at least 1")
@@ -202,12 +226,21 @@ def affinity_cost(Z, F, beta, source_labels=None):
     A : ndarray of shape (n, n)
         ``A[i, j] = ||Z[:,i] - Z[:,j]||^2 + beta * ||F[i] - F[j]||^2`` with
         an ``+inf`` diagonal and ``+inf`` on masked pairs.
+
+    Raises
+    ------
+    ShapeError
+        If ``Z`` or ``F`` is not 2-D, or ``F`` or ``source_labels`` do not
+        fit the samples.
+    ArgumentError
+        If ``Z`` or ``F`` holds a non-finite value, or ``beta`` is not
+        finite and non-negative.
     """
-    Z = np.asarray(Z, dtype=float)
+    Z, F = _coordinates(Z, F)
     _check_cost_inputs(Z.shape[1], F, source_labels, beta)
     A = pairwise_sq_dists(Z)
     if F is not None and beta != 0.0:
-        A += beta * pairwise_sq_dists(np.asarray(F, dtype=float).T)
+        A += beta * pairwise_sq_dists(F.T)
     if source_labels is not None:
         source_labels = _as_labels(source_labels)
         n_s = source_labels.size
@@ -225,13 +258,14 @@ def cost_space(Z, F, beta):
     ``RowBlockCost(cost_space(Z, F, beta), None, 0.0)`` computes each block
     of costs with one product.  The values are exactly those of
     ``RowBlockCost(Z, F, beta)`` when ``sqrt(beta)`` is exact and the
-    coordinates and soft labels are small integers.
+    coordinates and soft labels are small integers.  Raises as
+    :func:`affinity_cost` does.
     """
-    Z = np.asarray(Z, dtype=float)
+    Z, F = _coordinates(Z, F)
     _check_cost_inputs(Z.shape[1], F, None, beta)
     if F is None or beta == 0.0:
         return Z
-    return np.vstack([Z, np.sqrt(beta) * np.asarray(F, dtype=float).T])
+    return np.vstack([Z, np.sqrt(beta) * F.T])
 
 
 class RowBlockCost:
@@ -253,9 +287,11 @@ class RowBlockCost:
     the last place (about 1e-13).
 
     There is no mask: the only infinite cost is the diagonal, which no graph
-    stores.  The graph step hands a structured source row only its own
-    class's sources and the targets as candidates (:func:`_row_groups`), so
-    the cross-class source pairs are never computed.
+    stores, and coordinates and soft labels are checked as in
+    :func:`affinity_cost`, so every other cost is finite.  The graph step
+    hands a structured source row only its own class's sources and the
+    targets as candidates (:func:`_row_groups`), so the cross-class source
+    pairs are never computed.
 
     :func:`build_graph` stores the row multipliers it computed in
     ``multipliers``, keyed by :func:`_step_key`, and :func:`quadratic_charge`
@@ -263,13 +299,14 @@ class RowBlockCost:
     """
 
     def __init__(self, Z, F, beta):
-        n = np.shape(Z)[1]
+        Z, F = _coordinates(Z, F)
+        n = Z.shape[1]
         _check_cost_inputs(n, F, None, beta)
         self.shape = (n, n)
         self.beta = float(beta)
         self._operands = [sq_dist_operand(Z)]
         if F is not None and beta != 0.0:
-            self._operands.append(sq_dist_operand(np.asarray(F, dtype=float).T))
+            self._operands.append(sq_dist_operand(F.T))
         self.multipliers = {}
 
     def work_size(self, n_rows, col_sets):
@@ -468,37 +505,29 @@ def _block_weights(costs, k):
 
 
 class _Selection(NamedTuple):
-    """Each row's nonzero-weight candidates and closed-form constants in a block.
+    """Each row's closed-form constants in a cost block.
 
-    ``s = min(k + 1, candidates)``.  A row's columns strictly below its
-    ``a[k]`` come first in ``cols``, ascending, then zero-weight padding
-    (column 0 at cost ``+inf``).  There are at most ``k`` of them, or, when
-    ``a[k]`` is infinite (``s <= k``, or at most ``k`` finite candidates),
-    all the row's finite candidates, at most ``s``.
+    Only the constants are kept: a generic row's edges are its at most
+    ``k`` costs below ``a[k]``, which :func:`_below` finds from them.
     """
 
-    cols: np.ndarray  # (rows, s) the columns below a[k], then padding
-    costs: np.ndarray  # (rows, s) the costs at ``cols``, +inf at padding
     smallest: np.ndarray  # (rows,) a[0], +inf for a row without candidates
     boundary: np.ndarray  # (rows,) a[k], +inf when the row has at most k finite costs
     denom: np.ndarray  # (rows,) k * a[k] - sum(a[:k]), zero off generic rows
 
 
 def _closed_form(costs, k, work):
-    """Closed-form selection of every row of a cost block, in one pass.
+    """Closed-form constants of every row of a cost block, in one pass.
 
     ``costs`` is a ``(rows, candidates)`` block with ``+inf`` marking the
     excluded candidates; ``work`` is a flat float buffer of at least
     ``costs.size`` entries, which is overwritten.  A copy of the block in
     ``work`` is partitioned in place, which puts each row's ``k + 1``
     smallest costs first; only those are sorted, giving ``a[0]``, the
-    boundary ``a[k]`` and the denominator.  Then a mask of the costs
-    strictly below ``a[k]``, written over the copy, gives each row's
-    columns in ascending order.  A row is generic exactly when its ``a[k]``
-    is finite (it has more than ``k`` finite candidates), and ``denom`` is
-    computed on those rows only, so ``denom > DEGENERATE_DENOM`` marks
-    exactly the rows that :func:`_block_weights` treats generically.  Tied
-    costs at ``a[k]`` are left out, so nothing depends on the order of ties.
+    boundary ``a[k]`` and the denominator.  A row is generic exactly when
+    its ``a[k]`` is finite (it has more than ``k`` finite candidates), and
+    ``denom`` is computed on those rows only, so ``denom > DEGENERATE_DENOM``
+    marks exactly the rows that :func:`_block_weights` treats generically.
     """
     n_rows, n_cols = costs.shape
     s = min(k + 1, n_cols)
@@ -515,15 +544,18 @@ def _closed_form(costs, k, work):
         generic = boundary < np.inf
         top = ranked[generic]
         denom[generic] = k * top[:, k] - top[:, :k].sum(axis=1)
+    return _Selection(ranked[:, 0], boundary, denom)
+
+
+def _below(costs, limit, work):
+    """Row-major ``(row, col)`` of the ``costs`` strictly below their row's ``limit``.
+
+    The mask is written over the flat float buffer ``work``, which needs
+    ``costs.size / 8`` entries.  Each row's columns come out ascending.
+    """
     below = work.view(np.bool_)[: costs.size].reshape(costs.shape)
-    np.less(costs, boundary[:, None], out=below)
-    row, col = np.divmod(np.flatnonzero(below), max(n_cols, 1))
-    slot = np.arange(row.size) - np.searchsorted(row, row)
-    cols = np.zeros((n_rows, s), dtype=np.intp)
-    picked = np.full((n_rows, s), np.inf)
-    cols[row, slot] = col
-    picked[row, slot] = costs[row, col]
-    return _Selection(cols, picked, ranked[:, 0], boundary, denom)
+    np.less(costs, limit[:, None], out=below)
+    return np.divmod(np.flatnonzero(below), max(costs.shape[1], 1))
 
 
 def _multipliers(denom, mass):
@@ -547,15 +579,6 @@ def block_multiplier(costs, k, mass):
     return float(_multipliers(denom, mass)[0])
 
 
-def _source_mass(src, delta):
-    """Source-block mass per row from its :func:`_closed_form` selection.
-
-    ``delta`` where the row's smallest source cost is finite (it has a
-    same-class peer), zero otherwise; the cost block is not read again.
-    """
-    return np.where(src.smallest < np.inf, float(delta), 0.0)
-
-
 def _stable_smallest(costs, rows, s):
     """Columns of the ``s`` smallest costs of each of ``rows``, ascending.
 
@@ -565,44 +588,40 @@ def _stable_smallest(costs, rows, s):
     return np.sort(np.argsort(costs[rows], axis=1, kind="stable")[:, :s], axis=1)
 
 
-def _block_rows(costs, k, mass, sel):
-    """Weights of every row of a cost block at its picked columns, scaled by its mass.
+def _block_edges(costs, k, mass, sel, work):
+    """Flat ``(row, col, weight)`` edges of a cost block's rows, scaled by ``mass``.
 
-    ``costs`` is a ``(rows, candidates)`` block (``+inf`` = excluded),
-    ``mass`` holds one mass per row and ``sel`` is the block's
-    :func:`_closed_form`.  A generic row's nonzero weights are
-    ``(a[k] - c) / denom`` at its selected costs ``c``, which are all of the
-    row's costs below ``a[k]``; a tie at ``a[k]`` is not selected.  A
-    fallback row spends its mass uniformly over the finite costs among its
-    ``k`` smallest by :func:`_stable_smallest` (all its finite costs when it
-    has at most ``k``), as :func:`_block_weights` does; they fit the row's
-    ``s`` slots.  Returns ``(cols, weights)`` of the selection's shape, zero
-    weight in unused slots; the columns of each row's positive weights are
-    ascending.
+    ``costs`` is a ``(rows, candidates)`` block (``+inf`` = excluded), ``sel``
+    its :func:`_closed_form` and ``work`` a buffer for :func:`_below`.  A
+    generic row weighs its costs ``c`` below ``a[k]`` by ``(a[k] - c) /
+    denom``; a tie at ``a[k]`` is not selected.  A fallback row spends its
+    mass uniformly over the finite costs among its ``k`` smallest by
+    :func:`_stable_smallest`, as :func:`_block_weights` does.  Each row's
+    columns are ascending; a weight is zero where the mass is.
     """
-    batched = sel.denom > DEGENERATE_DENOM
-    limit = np.where(batched, sel.boundary, -np.inf)
-    rows, j = np.nonzero(sel.costs < limit[:, None])
-    cols = sel.cols.copy()
-    weights = np.zeros(cols.shape)
-    gaps = sel.boundary[rows] - sel.costs[rows, j]
-    weights[rows, j] = mass[rows] * (gaps / sel.denom[rows])
-    fallback = np.flatnonzero(~batched)
+    generic = sel.denom > DEGENERATE_DENOM
+    row, col = _below(costs, np.where(generic, sel.boundary, -np.inf), work)
+    weight = mass[row] * ((sel.boundary[row] - costs[row, col]) / sel.denom[row])
+    fallback = np.flatnonzero(~generic)
     top = _stable_smallest(costs, fallback, k)
     finite = np.isfinite(costs[fallback[:, None], top])
     share = mass[fallback] * (1.0 / np.maximum(np.count_nonzero(finite, axis=1), 1))
-    cols[fallback, : top.shape[1]] = top
-    weights[fallback, : top.shape[1]] = np.where(finite, share[:, None], 0.0)
-    return cols, weights
+    picked, slot = np.nonzero(finite)
+    return (
+        np.concatenate([row, fallback[picked]]),
+        np.concatenate([col, top[picked, slot]]),
+        np.concatenate([weight, share[picked]]),
+    )
 
 
-def _csr_rows(cols, weights, n_cols):
-    """CSR matrix of each row's positive ``weights`` at ``cols`` (ascending in a row)."""
-    keep = weights > 0.0
-    indptr = np.zeros(cols.shape[0] + 1, dtype=np.intp)
-    np.cumsum(np.count_nonzero(keep, axis=1), out=indptr[1:])
-    shape = (cols.shape[0], n_cols)
-    return scipy.sparse.csr_array((weights[keep], cols[keep], indptr), shape=shape)
+def _csr(shape, row, col, weight):
+    """CSR array of the positive ``weight`` at ``(row, col)``, each row in edge order."""
+    keep = weight > 0.0
+    row, col, weight = row[keep], col[keep], weight[keep]
+    order = np.argsort(row, kind="stable")
+    indptr = np.zeros(shape[0] + 1, dtype=np.intp)
+    np.cumsum(np.bincount(row, minlength=shape[0]), out=indptr[1:])
+    return scipy.sparse.csr_array((weight[order], col[order], indptr), shape=shape)
 
 
 def _graph_step(A, k, delta, labels, build=True):
@@ -612,9 +631,9 @@ def _graph_step(A, k, delta, labels, build=True):
     in the groups of :func:`_row_groups`: the first ``labels.size`` rows
     take the class-block / ``delta`` split, the others (all rows without
     ``labels``) spend unit mass over all their candidates.  Each block of
-    rows takes one :func:`_closed_form` selection per candidate column set,
-    whose picked local columns map back through the set, and a split row's
-    mass comes from its source selection.  Each block of rows becomes one
+    rows takes one :func:`_closed_form` per candidate column set, whose
+    :func:`_block_edges` local columns map back through the set, and a split
+    row's mass comes from its source block.  Each block of rows becomes one
     CSR part, and one row permutation puts the parts' rows back in order.
 
     Returns
@@ -631,19 +650,20 @@ def _graph_step(A, k, delta, labels, build=True):
     def rows_of(rows, col_sets, costs, work):
         sels = [_closed_form(block, k, work) for block in costs]
         if len(costs) == 2:
-            src_mass = _source_mass(sels[0], delta)
+            # A source row's delta share needs a same-class peer.
+            src_mass = np.where(sels[0].smallest < np.inf, float(delta), 0.0)
             masses = [src_mass, 1.0 - src_mass]
         else:
             masses = [np.ones(rows.size)]
         lams = [_multipliers(sel.denom, mass) for sel, mass in zip(sels, masses)]
         if not build:
             return lams, None
-        slots = []
+        edges = []
         for block, sel, mass, cols in zip(costs, sels, masses, col_sets):
-            local, weights = _block_rows(block, k, mass, sel)
-            slots.append((cols[local], weights))
-        cols, weights = (np.hstack(e) for e in zip(*slots))
-        return lams, _csr_rows(cols, weights, n)
+            row, local, weight = _block_edges(block, k, mass, sel, work)
+            edges.append((row, cols[local], weight))
+        row, col, weight = (np.concatenate(e) for e in zip(*edges))
+        return lams, _csr((rows.size, n), row, col, weight)
 
     lam = np.zeros((n, 2))
     parts, order = [], []
@@ -686,7 +706,8 @@ def build_graph(A, k, delta, source_labels):
     like a target row (unit mass over all finite candidates).  Raises
     :class:`ArgumentError` when ``k`` is not an integer of at least 1 or
     ``delta`` is not in ``[0, 1]``, and :class:`ShapeError` when ``A`` is
-    not square or there are more source labels than rows.
+    not square or there are as many source labels as rows or more: a
+    source row's ``1 - delta`` share needs target rows.
     """
     _check_k(k)
     if not 0.0 <= delta <= 1.0:
@@ -697,6 +718,8 @@ def build_graph(A, k, delta, source_labels):
     if source_labels is not None:
         labels = _as_labels(source_labels)
         _check_cost_inputs(A.shape[0], None, labels)
+        if labels.size == A.shape[0]:
+            raise ShapeError("source labels for every row leave no target rows")
     lam, rows = _graph_step(A, k, delta, labels)
     if isinstance(A, RowBlockCost):
         A.multipliers[_step_key(k, delta, labels)] = lam
@@ -714,12 +737,14 @@ def gaussian_knn_graph(Z, k, *, width=1.0):
     Weights are ``exp(-dist^2 / (2 * width^2))`` over each sample's ``k``
     nearest neighbours, normalized to unit row sums.  This is the
     predefined-similarity alternative to the self-learned graph.  The
-    neighbours are the :func:`_closed_form` picks below ``a[k]``; a row
-    whose ``k``-th and ``k + 1``-th distances tie is ranked by
+    neighbours are a row's distances below its :func:`_closed_form`
+    ``a[k]`` (:func:`_below`); a row with fewer than ``k`` of them, whose
+    ``k``-th and ``k + 1``-th distances tie, is ranked by
     :func:`_stable_smallest`, ties to the lower column.  A row whose kernel
     weights all underflow is uniform.  Raises :class:`ArgumentError` when
     ``k`` is not an integer of at least 1, ``width`` is not finite and
-    positive, or there are fewer than two samples.
+    positive, ``Z`` holds a non-finite value, or there are fewer than two
+    samples, and :class:`ShapeError` when ``Z`` is not 2-D.
     """
     _check_k(k)
     if not 0.0 < width < np.inf:
@@ -732,11 +757,10 @@ def gaussian_knn_graph(Z, k, *, width=1.0):
 
     def nearest(rows, col_sets, costs, work):
         (D,) = costs
-        sel = _closed_form(D, k_eff, work)
-        below = sel.costs < sel.boundary[:, None]
-        tied = np.count_nonzero(below, axis=1) < k_eff
+        row, col = _below(D, _closed_form(D, k_eff, work).boundary, work)
+        tied = np.bincount(row, minlength=rows.size) < k_eff
         near = np.empty((rows.size, k_eff), dtype=np.intp)
-        near[~tied] = sel.cols[below & ~tied[:, None]].reshape(-1, k_eff)
+        near[~tied] = col[~tied[row]].reshape(-1, k_eff)
         near[tied] = _stable_smallest(D, tied, k_eff)
         return near, np.take_along_axis(D, near, axis=1)
 

@@ -30,7 +30,7 @@ import scipy.sparse
 from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import splu
 
-from .exceptions import ShapeError, SingularMatrix
+from .exceptions import ArgumentError, ShapeError, SingularMatrix
 
 
 def reachable_rows(L, n_clamped):
@@ -74,6 +74,8 @@ def harmonic_solve(L, clamped):
     ShapeError
         If ``L`` is not square, or ``clamped`` is not 2-D or has more rows
         than ``L``.
+    ArgumentError
+        If ``clamped`` holds non-finite entries.
     SingularMatrix
         If ``L`` holds non-finite entries, or the sparse factorization of
         the reachable free block fails.
@@ -87,6 +89,8 @@ def harmonic_solve(L, clamped):
             f"clamped rows of shape {clamped.shape} do not fit {L.shape[0]} samples"
         )
     n_clamped = clamped.shape[0]
+    if not np.all(np.isfinite(clamped)):
+        raise ArgumentError("clamped rows contain non-finite entries")
     if not np.all(np.isfinite(L.data)):
         raise SingularMatrix("Laplacian contains non-finite entries")
     reach = reachable_rows(L, n_clamped)

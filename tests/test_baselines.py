@@ -62,6 +62,15 @@ class TestNearestNeighbor:
         with pytest.raises(ShapeError):
             cp.nearest_neighbor(train, labels, np.ones((2, 3)))
 
+    @pytest.mark.parametrize("side", ["train", "test"])
+    def test_non_finite_features_rejected(self, side):
+        # A NaN test sample was predicted class 0.
+        train = np.array([[0.0, 1.0, 5.0]])
+        test = np.array([[4.0, 0.5]])
+        {"train": train, "test": test}[side][0, 1] = np.nan
+        with pytest.raises(ArgumentError):
+            cp.nearest_neighbor(train, [1, 0, 1], test)
+
 class TestProjectSimplex:
     def test_interior_point_unchanged(self):
         v = np.array([0.2, 0.3, 0.5])

@@ -1,5 +1,7 @@
 """Dataset model, file formats, metric, and the synthetic generator."""
 
+import dataclasses
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -135,6 +137,24 @@ class TestDatasetInvariants:
                 n_classes=3,
                 hidden_target_labels=hidden,
             )
+
+    def test_fields_cannot_be_assigned_after_the_checks(self, rng):
+        # Assigning a field skipped every check, so out-of-range hidden
+        # labels were scored.
+        ds = Dataset(
+            features=rng.standard_normal((3, 5)),
+            n_source=3,
+            n_labeled_target=0,
+            n_unlabeled_target=2,
+            source_labels=[0, 1, 2],
+            n_classes=3,
+            hidden_target_labels=[0, 1],
+        )
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            ds.hidden_target_labels = np.array([-1, 7])
+        with pytest.raises(LabelError):
+            dataclasses.replace(ds, hidden_target_labels=np.array([-1, 7]))
+        npt.assert_array_equal(ds.hidden_target_labels, [0, 1])
 
 
 class TestHyperParams:

@@ -10,7 +10,7 @@ import scipy.sparse
 
 import crossprop as cp
 from crossprop.exceptions import ArgumentError, ShapeError
-from crossprop.graph import RowBlockCost, block_multiplier, quadratic_charge
+from crossprop.graph import RowBlockCost, block_multiplier, cost_space, quadratic_charge
 
 from conftest import (
     check_structured_graph,
@@ -321,6 +321,50 @@ def test_costs_reject_a_beta_that_is_not_finite_and_non_negative(rng, beta):
         cp.affinity_cost(Z, F, beta)
     with pytest.raises(ArgumentError):
         RowBlockCost(Z, F, beta)
+
+
+COST_ENTRIES = pytest.mark.parametrize(
+    "build",
+    [cp.affinity_cost, cost_space, RowBlockCost],
+    ids=["affinity_cost", "cost_space", "RowBlockCost"],
+)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@COST_ENTRIES
+def test_costs_reject_coordinates_or_soft_labels_that_are_not_finite(rng, bad, build):
+    # A NaN or infinite coordinate gave NaN or infinite costs, which no
+    # graph row is defined over.
+    Z = rng.standard_normal((2, 6))
+    F = rng.dirichlet(np.ones(2), size=6)
+    Z_bad, F_bad = Z.copy(), F.copy()
+    Z_bad[1, 3] = F_bad[2, 0] = bad
+    with pytest.raises(ArgumentError):
+        build(Z_bad, F, 0.5)
+    with pytest.raises(ArgumentError):
+        build(Z, F_bad, 0.5)
+
+
+@COST_ENTRIES
+def test_costs_reject_coordinates_or_soft_labels_that_are_not_2d(build):
+    # A 1-D Z raised an IndexError; a 1-D F raised a ValueError or an
+    # IndexError, or was read as one label column by cost_space.
+    with pytest.raises(ShapeError):
+        build(np.arange(4.0), None, 0.0)
+    with pytest.raises(ShapeError):
+        build(np.ones((2, 4)), np.arange(4.0), 0.5)
+
+
+def test_init_graph_rejects_an_infinite_coordinate():
+    # Row 3 of this graph was left empty.
+    with pytest.raises(ArgumentError):
+        cp.init_graph([[0.0, 1.0, 2.0, np.inf]], 1, 0.5, None)
+
+
+def test_gaussian_graph_rejects_a_nan_coordinate():
+    # The NaN column's row got a self-loop of weight 1.
+    with pytest.raises(ArgumentError):
+        cp.gaussian_knn_graph(np.array([[0.0, 1.0, np.nan, 3.0, 4.0]]), 2)
 
 
 class TestLaplacian:

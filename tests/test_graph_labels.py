@@ -98,3 +98,15 @@ def test_more_source_labels_than_samples_rejected():
         cp.build_graph(cp.affinity_cost(X, None, 0.0), 2, 0.8, too_many)
     with pytest.raises(ShapeError):
         cp.init_graph(X, 2, 0.8, too_many)
+
+
+def test_source_labels_for_every_sample_rejected():
+    # Each row lost its 1 - delta share: on this line the rows summed to 0.8.
+    X = np.arange(6.0)[None, :]
+    every = np.array([0, 0, 0, 1, 1, 1])
+    with pytest.raises(ShapeError):
+        cp.build_graph(cp.affinity_cost(X, None, 0.0), 2, 0.8, every)
+    with pytest.raises(ShapeError):
+        cp.build_graph(RowBlockCost(X, None, 0.0), 2, 0.8, every)
+    with pytest.raises(ShapeError):
+        cp.init_graph(X, 2, 0.8, every)

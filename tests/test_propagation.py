@@ -208,6 +208,13 @@ class TestUnreachableRows:
         with pytest.raises(cp.SingularMatrix):
             cp.harmonic_solve(L, np.array([[1.0, 0.0]]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_clamped_rows_raise(self, bad):
+        # A NaN clamped row gave NaN soft labels in every free row.
+        L = laplacian_of(np.ones((3, 3)) - np.eye(3))
+        with pytest.raises(cp.ArgumentError):
+            cp.harmonic_solve(L, np.array([[1.0, 0.0], [bad, 1.0]]))
+
     def test_fit_counts_unreachable_rows_without_a_dense_solve(self, monkeypatch, rng):
         def refuse(*args, **kwargs):
             raise AssertionError("the fit called the dense SPD solve")
