@@ -35,6 +35,7 @@ from .graph import (
     RowBlockCost,
     affinity_cost,
     build_graph,
+    cost_space,
     gaussian_knn_graph,
     init_graph,
     laplacian,
@@ -75,6 +76,7 @@ __all__ = [
     "accuracy",
     "affinity_cost",
     "build_graph",
+    "cost_space",
     "discrepancy_factor",
     "discrepancy_matrix",
     "conditional_mmd",

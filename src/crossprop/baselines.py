@@ -57,7 +57,7 @@ def nearest_neighbor(train_features, train_labels, test_features):
     if train_features.shape[0] != test_features.shape[0]:
         raise ShapeError("train and test features must share the feature dimension")
     p = train_labels.size
-    dists = RowBlockCost(np.hstack([train_features, test_features]), None, 0.0)
+    dists = RowBlockCost(np.hstack([train_features, test_features]))
     test = np.arange(p, dists.shape[0])
     nearest = np.empty(test.size, dtype=np.intp)
 

@@ -40,7 +40,11 @@ class Dataset:
 
     The fields are checked once, at construction, so they cannot be
     assigned afterwards; :func:`dataclasses.replace` builds a checked copy.
-    The arrays' contents stay writable.
+    The arrays are held as read-only views, so writing into
+    ``ds.features`` or a label array raises instead of changing a checked
+    dataset.  A view copies nothing, so the caller's own array, if it was
+    used as given, is not frozen: writing into it still changes the
+    dataset.
 
     Parameters
     ----------
@@ -111,6 +115,17 @@ class Dataset:
             )
             if self.hidden_target_labels.shape != (self.n_target,):
                 raise ShapeError("hidden_target_labels length must equal n_target")
+        for name in (
+            "features",
+            "source_labels",
+            "labeled_target_labels",
+            "hidden_target_labels",
+        ):
+            array = getattr(self, name)
+            if array is not None:
+                view = array.view()
+                view.flags.writeable = False
+                object.__setattr__(self, name, view)
 
     @property
     def n_samples(self):

@@ -64,12 +64,12 @@ last place (about 1e-13).  :func:`build_graph` and
 read as ``A[np.ix_(rows, cols)]``, or a :class:`RowBlockCost`, which
 computes each block from the sample coordinates; both go through the same
 per-block step, :func:`_graph_step`.  The fit only uses
-:class:`RowBlockCost`, so it never builds an ``n x n`` cost matrix, and
-reads it over the cost-space coordinates of :func:`cost_space`, so each
-block of costs is one product.
-:func:`build_graph` leaves the row multipliers it computed in the
-:class:`RowBlockCost`, and :func:`quadratic_charge` reads them from there
-instead of running the closed form a second time.
+:class:`RowBlockCost`, so it never builds an ``n x n`` cost matrix; it
+holds the cost-space coordinates of :func:`cost_space`, so each block of
+costs is one product.  :func:`build_graph` stores the row multipliers it
+computed on the :class:`AffinityGraph`, and :func:`quadratic_charge` reads
+them from there when it is given no cost, instead of running the closed
+form a second time.
 :func:`gaussian_knn_graph` and :func:`crossprop.baselines.nearest_neighbor`
 pick their nearest candidates through the same map over row blocks, the kNN
 graph with the same selection.
@@ -145,13 +145,17 @@ class AffinityGraph:
     underflowed to zero.  ``source_labels`` holds the classes of the source
     rows, which were built with the class-block / ``delta`` split; it is
     ``None`` for an unstructured or Gaussian graph, whose rows all spend unit
-    mass over all their candidates.
+    mass over all their candidates.  ``multipliers`` is the ``(n, 2)`` array
+    of row multipliers ``lam`` the graph step pinned while building the
+    rows (see :func:`_graph_step`), which :func:`quadratic_charge` charges;
+    it is ``None`` for a graph no graph step built, such as a Gaussian one.
     """
 
     rows: scipy.sparse.csr_array
     k: int
     delta: float
     source_labels: np.ndarray | None = None
+    multipliers: np.ndarray | None = None
 
     @property
     def n_samples(self):
@@ -255,11 +259,11 @@ def cost_space(Z, F, beta):
 
     Their squared distances are the costs of :func:`affinity_cost`,
     ``||z_i - z_j||^2 + beta * ||F_i - F_j||^2``, up to rounding, so
-    ``RowBlockCost(cost_space(Z, F, beta), None, 0.0)`` computes each block
-    of costs with one product.  The values are exactly those of
-    ``RowBlockCost(Z, F, beta)`` when ``sqrt(beta)`` is exact and the
-    coordinates and soft labels are small integers.  Raises as
-    :func:`affinity_cost` does.
+    ``RowBlockCost(cost_space(Z, F, beta))`` computes each block of costs
+    with one product.  The values are exactly those of
+    :func:`affinity_cost` when ``sqrt(beta)`` is exact and the coordinates
+    and soft labels are small integers.  Raises as :func:`affinity_cost`
+    does.
     """
     Z, F = _coordinates(Z, F)
     _check_cost_inputs(Z.shape[1], F, None, beta)
@@ -271,90 +275,64 @@ def cost_space(Z, F, beta):
 class RowBlockCost:
     """The unmasked cost matrix of :func:`affinity_cost`, served a block at a time.
 
-    Only the sample coordinates are held.  :meth:`fill` computes the costs
-    of a few rows against their candidate column sets into buffers that
+    ``U`` holds the cost-space coordinates of :func:`cost_space`, one column
+    per sample; callers with coordinates ``Z``, soft labels ``F`` and a
+    weight ``beta`` write ``RowBlockCost(cost_space(Z, F, beta))``.  Each
+    cost is the squared distance between two columns of ``U``, computed
+    with one product per block.  :meth:`fill` computes the costs of a few
+    rows against their candidate column sets into buffers that
     :func:`_map_row_blocks` allocates once per pass, so no ``n x n`` array
-    is built.  Entries are the same costs as :func:`affinity_cost` up to
-    rounding (exactly the same for integer coordinates and soft labels).
-
-    With soft labels ``F`` and ``beta > 0`` each block takes two products,
-    one for the feature and one for the label distances, added as
-    ``affinity_cost`` adds them; this two-operand form is the exact
-    reference against :func:`affinity_cost`.  The fit instead holds the
-    cost-space coordinates of :func:`cost_space`, ``RowBlockCost(U, None,
-    0.0)``, whose costs are squared distances computed with one product per
-    block.  The two forms round differently, which moves graph weights in
-    the last place (about 1e-13).
+    is built.  Entries are the costs of :func:`affinity_cost` up to rounding
+    (exactly the same for small-integer coordinates and soft labels and an
+    exact ``sqrt(beta)``); the rounding can move graph weights in the last
+    place (about 1e-13).
 
     There is no mask: the only infinite cost is the diagonal, which no graph
-    stores, and coordinates and soft labels are checked as in
-    :func:`affinity_cost`, so every other cost is finite.  The graph step
-    hands a structured source row only its own class's sources and the
-    targets as candidates (:func:`_row_groups`), so the cross-class source
-    pairs are never computed.
-
-    :func:`build_graph` stores the row multipliers it computed in
-    ``multipliers``, keyed by :func:`_step_key`, and :func:`quadratic_charge`
-    reads them from there instead of running the closed form again.
+    stores, and the coordinates are checked as in :func:`affinity_cost`, so
+    every other cost is finite.  The graph step hands a structured source
+    row only its own class's sources and the targets as candidates
+    (:func:`_row_groups`), so the cross-class source pairs are never
+    computed.
     """
 
-    def __init__(self, Z, F, beta):
-        Z, F = _coordinates(Z, F)
-        n = Z.shape[1]
-        _check_cost_inputs(n, F, None, beta)
-        self.shape = (n, n)
-        self.beta = float(beta)
-        self._operands = [sq_dist_operand(Z)]
-        if F is not None and beta != 0.0:
-            self._operands.append(sq_dist_operand(F.T))
-        self.multipliers = {}
+    def __init__(self, U):
+        U, _ = _coordinates(U)
+        self.shape = (U.shape[1], U.shape[1])
+        self._operand = sq_dist_operand(U)
 
     def work_size(self, n_rows, col_sets):
         """Entries of the work buffer :meth:`fill` needs for ``n_rows`` rows against ``col_sets``."""
-        size = 0
-        for j, op in enumerate(self._operands):
-            for cols in col_sets:
-                gathered = 0 if _consecutive(cols) else cols.size
-                label_cost = n_rows * cols.size if j else 0
-                size = max(size, op.shape[0] * (n_rows + gathered) + label_cost)
-        return size
+        gathered = max(0 if _consecutive(cols) else cols.size for cols in col_sets)
+        return self._operand.shape[0] * (n_rows + gathered)
 
     def fill(self, rows, col_sets, out, work):
         """The costs of ``rows`` against each of ``col_sets``, one block per set.
 
         ``col_sets`` are ascending arrays of column indices.  The blocks are
         consecutive views of the flat buffer ``out``.  ``work`` is a flat
-        buffer of :meth:`work_size` entries, which holds the left operands,
-        the column sets' coordinates and the label costs, so nothing
-        block-sized is allocated.  A set of consecutive columns is read as a
-        view of the coordinates, any other set is gathered.  A row's own
-        column costs ``+inf``.
+        buffer of :meth:`work_size` entries, which holds the left operand
+        and the column sets' coordinates, so nothing block-sized is
+        allocated.  A set of consecutive columns is read as a view of the
+        coordinates, any other set is gathered.  A row's own column costs
+        ``+inf``.
         """
+        op = self._operand
+        left = sq_dist_rows(op, rows, work)
+        rest = work[left.size :]
         blocks, at = [], 0
         for cols in col_sets:
-            blocks.append(out[at : at + rows.size * cols.size].reshape(rows.size, -1))
-            at += rows.size * cols.size
-        for j, op in enumerate(self._operands):
-            left = sq_dist_rows(op, rows, work)
-            rest = work[left.size :]
-            for block, cols in zip(blocks, col_sets):
-                if _consecutive(cols):
-                    right, used = op[:, cols[0] : cols[-1] + 1], 0
-                else:
-                    right = gather_columns(op, cols, rest)
-                    used = right.size
-                if not j:
-                    sq_dists_into(block, left, right)
-                    continue
-                label_cost = rest[used : used + block.size].reshape(block.shape)
-                sq_dists_into(label_cost, left, right)
-                label_cost *= self.beta
-                block += label_cost
-        for block, cols in zip(blocks, col_sets):
+            block = out[at : at + rows.size * cols.size].reshape(rows.size, -1)
+            at += block.size
+            if _consecutive(cols):
+                right = op[:, cols[0] : cols[-1] + 1]
+            else:
+                right = gather_columns(op, cols, rest)
+            sq_dists_into(block, left, right)
             pos = np.searchsorted(cols, rows)
             own = pos < cols.size
             own[own] = cols[pos[own]] == rows[own]
             block[own, pos[own]] = np.inf
+            blocks.append(block)
         return blocks
 
 
@@ -684,18 +662,13 @@ def _graph_step(A, k, delta, labels, build=True):
     return lam, S
 
 
-def _step_key(k, delta, labels):
-    """Key of the multipliers of one graph step in :attr:`RowBlockCost.multipliers`."""
-    return k, delta, None if labels is None else labels.tobytes()
-
-
 def build_graph(A, k, delta, source_labels):
     """Assemble an :class:`AffinityGraph` from a cost matrix.
 
     ``A`` is a dense ``(n, n)`` cost array such as :func:`affinity_cost`
     returns, or a :class:`RowBlockCost`; both are read through the same
     loop over blocks of rows, so the fit never holds more than one block of
-    costs.  A :class:`RowBlockCost` keeps the row multipliers for
+    costs.  The graph keeps the row multipliers the step pinned, for
     :func:`quadratic_charge`.
 
     With ``source_labels`` the first ``source_labels.size`` rows, the
@@ -721,14 +694,12 @@ def build_graph(A, k, delta, source_labels):
         if labels.size == A.shape[0]:
             raise ShapeError("source labels for every row leave no target rows")
     lam, rows = _graph_step(A, k, delta, labels)
-    if isinstance(A, RowBlockCost):
-        A.multipliers[_step_key(k, delta, labels)] = lam
-    return AffinityGraph(rows, k, delta, labels)
+    return AffinityGraph(rows, k, delta, labels, lam)
 
 
 def init_graph(X, k, delta, source_labels):
     """Initial graph built from raw-feature distances only (no label term)."""
-    return build_graph(RowBlockCost(X, None, 0.0), k, delta, source_labels)
+    return build_graph(RowBlockCost(X), k, delta, source_labels)
 
 
 def gaussian_knn_graph(Z, k, *, width=1.0):
@@ -741,7 +712,8 @@ def gaussian_knn_graph(Z, k, *, width=1.0):
     ``a[k]`` (:func:`_below`); a row with fewer than ``k`` of them, whose
     ``k``-th and ``k + 1``-th distances tie, is ranked by
     :func:`_stable_smallest`, ties to the lower column.  A row whose kernel
-    weights all underflow is uniform.  Raises :class:`ArgumentError` when
+    weights all underflow is uniform.  The graph carries no multipliers.
+    Raises :class:`ArgumentError` when
     ``k`` is not an integer of at least 1, ``width`` is not finite and
     positive, ``Z`` holds a non-finite value, or there are fewer than two
     samples, and :class:`ShapeError` when ``Z`` is not 2-D.
@@ -749,7 +721,7 @@ def gaussian_knn_graph(Z, k, *, width=1.0):
     _check_k(k)
     if not 0.0 < width < np.inf:
         raise ArgumentError(f"width={width} must be finite and positive")
-    dists = RowBlockCost(Z, None, 0.0)
+    dists = RowBlockCost(Z)
     n = dists.shape[0]
     if n < 2:
         raise ArgumentError(f"{n} samples: need at least 2")
@@ -831,26 +803,28 @@ def row_laplacian(graph):
 def quadratic_charge(A, graph):
     """Total quadratic regularization ``sum_i sum_b lam_{i,b} * ||row block||^2``.
 
-    ``A`` is a dense cost array or a :class:`RowBlockCost`.  The
-    multipliers are those the row updates pin under ``A``, so the value is
-    consistent with the row subproblems the graph solves.  A
-    :class:`RowBlockCost` that :func:`build_graph` read with the graph's
-    ``k``, ``delta`` and source labels hands over the multipliers it kept;
-    otherwise they are computed with the same block loop, over the class
-    sets the graph records in ``source_labels``, and fallback rows carry
-    ``lam = 0``.  The block sums of squared weights come from the graph's
-    flat edge arrays.  Every edge is charged under a :class:`RowBlockCost`;
-    under a dense cost only the edges with a finite cost are.
+    With a cost ``A``, a dense cost array or a :class:`RowBlockCost`, the
+    multipliers are those the row updates pin under ``A``, computed with
+    the graph step's block loop over the class sets the graph records in
+    ``source_labels``; fallback rows carry ``lam = 0``.  With ``A=None``
+    they are the graph's own ``multipliers``, those of the costs it was
+    built from.  The block sums of squared weights come from the graph's
+    flat edge arrays.  Every edge is charged under a :class:`RowBlockCost`
+    or the graph's own multipliers; under a dense cost only the edges with
+    a finite cost are.  Raises :class:`ArgumentError` when ``A`` is ``None``
+    and the graph carries no multipliers.
     """
     labels = graph.source_labels
-    kept = A.multipliers if isinstance(A, RowBlockCost) else {}
-    lam = kept.get(_step_key(graph.k, graph.delta, labels))
-    if lam is None:
+    if A is not None:
         lam, _ = _graph_step(A, graph.k, graph.delta, labels, build=False)
+    elif graph.multipliers is not None:
+        lam = graph.multipliers
+    else:
+        raise ArgumentError("no cost given and the graph carries no multipliers")
     rows, cols, weights = graph.edges()
     n_s = 0 if labels is None else labels.size
     charge = lam[rows, ((rows < n_s) & (cols >= n_s)).astype(int)] * weights**2
-    if not isinstance(A, RowBlockCost):
+    if A is not None and not isinstance(A, RowBlockCost):
         charge = charge[np.isfinite(A[rows, cols])]
     return float(np.sum(charge))
 

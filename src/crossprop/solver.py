@@ -34,10 +34,10 @@ Each outer iteration alternates three exact subproblem solutions:
    The cost is a :class:`crossprop.graph.RowBlockCost` of ``U``: it holds
    only those coordinates and computes the costs a block of rows at a time,
    one matrix product per block and candidate set, into one reused buffer,
-   so no ``n x n`` cost matrix is built, and it keeps the row multipliers of
-   the graph step for the objective.  The class split of the source rows is
-   the graph step's own: :func:`crossprop.graph.build_graph` takes the
-   source labels and records them on the graph.
+   so no ``n x n`` cost matrix is built.  The class split of the source rows
+   is the graph step's own: :func:`crossprop.graph.build_graph` takes the
+   source labels and records them on the graph, together with the row
+   multipliers ``Lambda`` the step pinned.
 
 3. **Propagation step.**  Harmonic soft labels on the fresh graph with the
    labeled block clamped, then hard pseudo-labels by row argmax.  Free
@@ -56,6 +56,10 @@ graph step optimizes, so the multiplier term carries the matching factor
 one half; with the multipliers ``Lambda`` treated as the iteration's fixed
 parameters, every one of the three updates is then an exact minimizer of
 the same function and the objective cannot increase within an iteration.
+:func:`objective` charges a self-learned graph's own ``Lambda``, so the
+value it returns for a fit's state is the value the fit logged.  Only a
+graph that carries no multipliers (the Gaussian graph of ``sp``, or one
+built by hand) has them computed at the evaluation point.
 
 The initial graph is propagated exactly as every later graph is.  The loop
 stops early once the label change, the fraction of *unlabeled* target
@@ -287,22 +291,24 @@ def objective(
     ``graph_scale`` divides the graph-coupled terms; the fit loop passes the
     Frobenius norm of the iteration's Laplacian so the monitored value
     matches the normalized Laplacian the projection step saw.  The row
-    multipliers come from ``cost_matrix`` when it is supplied: a dense cost
-    array, or a :class:`crossprop.graph.RowBlockCost`, whose multipliers the
-    fit loop's graph step has already computed.  Without it they are
-    computed at the evaluation point from a :class:`RowBlockCost` of
-    ``P.T @ X`` and ``F``, one block of rows at a time, so no ``n x n``
-    array is built; a structured graph's class sets come from its
-    ``source_labels``.  The graph and label energies each take one sparse
-    product with the graph's rows.
+    multipliers are computed under ``cost_matrix`` when it is supplied, a
+    dense cost array or a :class:`crossprop.graph.RowBlockCost`.  Without
+    it they are the graph's own ``multipliers``, pinned by the graph step
+    that built it, so a fit's state evaluates to the value the fit logged.
+    A graph without multipliers (a Gaussian or hand-built one) has them
+    computed at the evaluation point from
+    ``RowBlockCost(cost_space(P.T @ X, F, beta))``, one block of rows at a
+    time, so no ``n x n`` array is built; a structured graph's class sets
+    come from its ``source_labels``.  The graph and label energies each
+    take one sparse product with the graph's rows.
     """
     Z = P.T @ X
     graph_energy = _edge_energy(graph.rows, Z.T)
     label_energy = 0.0
     if F is not None:
         label_energy = _edge_energy(graph.rows, np.asarray(F, dtype=float))
-    if cost_matrix is None:
-        cost_matrix = RowBlockCost(Z, F, beta)
+    if cost_matrix is None and graph.multipliers is None:
+        cost_matrix = RowBlockCost(cost_space(Z, F, beta))
     charge = quadratic_charge(cost_matrix, graph)
     discrepancy = float(np.trace(_discrepancy_form(Z, M)))
     return (
@@ -420,9 +426,8 @@ def fit(dataset, params=None, log_sink=None, on_iteration=None):
         Z = P.T @ X
         if params.ablation == "sp":
             graph = gaussian_knn_graph(Z, params.k)
-            cost = None
         else:
-            cost = RowBlockCost(cost_space(Z, F, cost_beta), None, 0.0)
+            cost = RowBlockCost(cost_space(Z, F, cost_beta))
             graph = build_graph(cost, params.k, params.delta, split)
         previous = labels
         scale, F, labels = _propagate(graph, clamp, known)
@@ -438,7 +443,6 @@ def fit(dataset, params=None, log_sink=None, on_iteration=None):
             cost_beta,
             params.gamma,
             graph_scale=scale,
-            cost_matrix=cost,
         )
 
         report.iterations = t

@@ -16,7 +16,7 @@ import pytest
 import crossprop as cp
 import crossprop.graph
 from crossprop.exceptions import ArgumentError
-from crossprop.graph import RowBlockCost
+from crossprop.graph import RowBlockCost, cost_space
 
 
 def cross_class_source_edges(graph, labels):
@@ -31,7 +31,7 @@ def test_structured_graph_takes_no_cross_class_source_edge_from_an_unmasked_cost
     # source part of the graph block-diagonal.
     Z = np.random.default_rng(0).standard_normal((2, 24))
     labels = np.repeat([0, 1, 2], 4)
-    cost = cp.affinity_cost(Z, None, 0.0) if dense else RowBlockCost(Z, None, 0.0)
+    cost = cp.affinity_cost(Z, None, 0.0) if dense else RowBlockCost(Z)
     graph = cp.build_graph(cost, 3, 0.8, labels)
     assert cross_class_source_edges(graph, labels) == 0
     masked = cp.build_graph(cp.affinity_cost(Z, None, 0.0, labels), 3, 0.8, labels)
@@ -45,7 +45,7 @@ def test_builders_reject_delta_outside_the_unit_interval(delta):
     with pytest.raises(ArgumentError):
         cp.build_graph(cp.affinity_cost(X, None, 0.0, labels), 2, delta, labels)
     with pytest.raises(ArgumentError):
-        cp.build_graph(RowBlockCost(X, None, 0.0), 2, delta, None)
+        cp.build_graph(RowBlockCost(X), 2, delta, None)
     with pytest.raises(ArgumentError):
         cp.init_graph(X, 2, delta, labels)
 
@@ -65,11 +65,11 @@ def test_graph_step_computes_no_cross_class_cost(monkeypatch):
         return compute(out, left, B)
 
     monkeypatch.setattr(crossprop.graph, "sq_dists_into", counting)
-    cost = RowBlockCost(Z, F, 0.1)
+    cost = RowBlockCost(cost_space(Z, F, 0.1))
     graph = cp.build_graph(cost, 3, 0.8, labels)
     sizes = np.bincount(labels)
-    # One feature and one label product per block.
-    assert sum(computed) == 2 * (int(np.sum(sizes * (sizes + n_t))) + n_t * n)
+    # One cost-space product per block and column set.
+    assert sum(computed) == int(np.sum(sizes * (sizes + n_t))) + n_t * n
     assert cross_class_source_edges(graph, labels) == 0
 
 

@@ -1,12 +1,13 @@
 """The fit's graph step reads its costs from one cost-space operand.
 
 Each iteration the fit stacks ``U = [Z; sqrt(beta) * F.T]``
-(:func:`crossprop.graph.cost_space`) and hands ``RowBlockCost(U, None,
-0.0)`` to the graph step, so each block of costs is one product.  With
-integer coordinates, soft labels in {0, 1} and an exact ``sqrt(beta)`` the
-costs, and so the graphs and multipliers, equal those of the two-operand
-``RowBlockCost(Z, F, beta)`` bit for bit; with floats they agree to
-rounding.
+(:func:`crossprop.graph.cost_space`) and hands ``RowBlockCost(U)`` to the
+graph step, so each block of costs is one product.  The reference is the
+dense :func:`crossprop.affinity_cost`, which adds the feature and the
+label distances as two operands.  With integer coordinates, soft labels in
+{0, 1} and an exact ``sqrt(beta)`` the costs, and so the graphs and the
+multipliers they carry, equal the reference's bit for bit; with floats
+they agree to rounding.
 """
 
 import threading
@@ -46,14 +47,11 @@ def test_cost_space_graph_equals_two_operand_graph_bit_for_bit(
     if block is not None:
         monkeypatch.setattr(crossprop.linalg, "BLOCK_BYTES", 8 * Z.shape[1] * block)
     labels = labels if structured else None
-    reference, stacked = RowBlockCost(Z, F, beta), RowBlockCost(cost_space(Z, F, beta), None, 0.0)
-    expected = cp.build_graph(reference, 3, 0.8, labels)
-    graph = cp.build_graph(stacked, 3, 0.8, labels)
+    expected = cp.build_graph(cp.affinity_cost(Z, F, beta), 3, 0.8, labels)
+    graph = cp.build_graph(RowBlockCost(cost_space(Z, F, beta)), 3, 0.8, labels)
     for a, b in zip(graph_arrays(graph), graph_arrays(expected)):
         np.testing.assert_array_equal(a, b, strict=True)
-    assert reference.multipliers.keys() == stacked.multipliers.keys()
-    for key, lam in reference.multipliers.items():
-        np.testing.assert_array_equal(stacked.multipliers[key], lam, strict=True)
+    np.testing.assert_array_equal(graph.multipliers, expected.multipliers, strict=True)
 
 
 @pytest.mark.parametrize("structured", [False, True])
@@ -65,8 +63,8 @@ def test_cost_space_graph_matches_two_operand_graph_on_floats(structured, seed):
     Z = rng.standard_normal((4, n))
     F = rng.dirichlet(np.ones(3), size=n)
     labels = rng.integers(0, 3, size=n_s) if structured else None
-    expected = cp.build_graph(RowBlockCost(Z, F, 0.1), 5, 0.8, labels)
-    graph = cp.build_graph(RowBlockCost(cost_space(Z, F, 0.1), None, 0.0), 5, 0.8, labels)
+    expected = cp.build_graph(cp.affinity_cost(Z, F, 0.1), 5, 0.8, labels)
+    graph = cp.build_graph(RowBlockCost(cost_space(Z, F, 0.1)), 5, 0.8, labels)
     np.testing.assert_array_equal(graph.rows.indptr, expected.rows.indptr)
     np.testing.assert_array_equal(graph.rows.indices, expected.rows.indices)
     np.testing.assert_allclose(graph.rows.data, expected.rows.data, rtol=0.0, atol=1e-12)
@@ -81,7 +79,7 @@ def test_cost_space_without_a_label_term_is_the_features():
 
 def test_full_fit_graph_steps_take_one_product_per_row_block_and_column_set(monkeypatch):
     # Two products per set, one for the features and one for the labels,
-    # would mean the fit read the two-operand cost.
+    # would mean the fit read the costs as two operands.
     products = Counter()
     fills = []
     compute = crossprop.graph.sq_dists_into

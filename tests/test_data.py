@@ -156,6 +156,39 @@ class TestDatasetInvariants:
             dataclasses.replace(ds, hidden_target_labels=np.array([-1, 7]))
         npt.assert_array_equal(ds.hidden_target_labels, [0, 1])
 
+    @pytest.mark.parametrize(
+        "name, index",
+        [
+            ("features", (0, 0)),
+            ("source_labels", 0),
+            ("labeled_target_labels", 0),
+            ("hidden_target_labels", 0),
+        ],
+    )
+    def test_arrays_cannot_be_written_after_the_checks(self, rng, name, index):
+        # ``ds.features[0, 0] = 1.0`` silently changed a checked dataset,
+        # and a label write could put a label outside the classes.
+        features = rng.standard_normal((3, 5))
+        ds = Dataset(
+            features=features,
+            n_source=3,
+            n_labeled_target=1,
+            n_unlabeled_target=1,
+            source_labels=np.array([0, 1, 2]),
+            labeled_target_labels=np.array([1]),
+            n_classes=3,
+            hidden_target_labels=np.array([1, 2]),
+        )
+        array = getattr(ds, name)
+        before = array.copy()
+        with pytest.raises(ValueError, match="read-only"):
+            array[index] = 7
+        npt.assert_array_equal(array, before)
+        # A view, not a copy: the caller's own array is not frozen.
+        assert np.shares_memory(ds.features, features)
+        features[0, 0] = 1.0
+        assert ds.features[0, 0] == 1.0
+
 
 class TestHyperParams:
     def test_defaults(self):

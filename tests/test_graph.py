@@ -320,12 +320,16 @@ def test_costs_reject_a_beta_that_is_not_finite_and_non_negative(rng, beta):
     with pytest.raises(ArgumentError):
         cp.affinity_cost(Z, F, beta)
     with pytest.raises(ArgumentError):
-        RowBlockCost(Z, F, beta)
+        cost_space(Z, F, beta)
+
+
+def _row_block_cost(Z, F, beta):
+    return RowBlockCost(cost_space(Z, F, beta))
 
 
 COST_ENTRIES = pytest.mark.parametrize(
     "build",
-    [cp.affinity_cost, cost_space, RowBlockCost],
+    [cp.affinity_cost, cost_space, _row_block_cost],
     ids=["affinity_cost", "cost_space", "RowBlockCost"],
 )
 
@@ -353,6 +357,16 @@ def test_costs_reject_coordinates_or_soft_labels_that_are_not_2d(build):
         build(np.arange(4.0), None, 0.0)
     with pytest.raises(ShapeError):
         build(np.ones((2, 4)), np.arange(4.0), 0.5)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_row_block_cost_checks_its_own_coordinates(bad):
+    U = np.ones((2, 4))
+    U[1, 2] = bad
+    with pytest.raises(ArgumentError):
+        RowBlockCost(U)
+    with pytest.raises(ShapeError):
+        RowBlockCost(np.arange(4.0))
 
 
 def test_init_graph_rejects_an_infinite_coordinate():

@@ -3,8 +3,9 @@
 :class:`crossprop.graph.RowBlockCost` computes the cost matrix a few rows at
 a time.  Here the block size is forced down to 1-3 rows, so blocks end at
 every position around ``n_source`` and the last block of each side is often
-partial.  Coordinates and soft labels are small integers, so every cost is
-exact in both forms, ties are common and the rows must agree bit for bit.
+partial.  Coordinates and soft labels are small integers and ``sqrt(beta)``
+is exact, so every cost is exact in both forms, ties are common and the
+rows and multipliers must agree bit for bit.
 The last tests run whole fits, a graph step and a harmonic solve under
 ``tracemalloc``: none of them holds an ``n x n`` array, and the graph step
 holds about two row blocks, on one worker or several.
@@ -21,7 +22,7 @@ from hypothesis import strategies as st
 import crossprop as cp
 import crossprop.graph
 import crossprop.linalg
-from crossprop.graph import RowBlockCost, quadratic_charge
+from crossprop.graph import RowBlockCost, _graph_step, cost_space, quadratic_charge
 
 from conftest import csr_rows, rowwise_quadratic_charge
 
@@ -46,7 +47,7 @@ def cost_problems(draw):
     if draw(st.booleans()):
         F = np.array(draw(st.lists(st.integers(0, 1), min_size=2 * n, max_size=2 * n)))
         F = F.reshape(n, 2).astype(float)
-    beta = draw(st.sampled_from([0.0, 0.1, 1.0]))
+    beta = draw(st.sampled_from([0.0, 0.25, 1.0]))
     labels = np.array(draw(st.lists(st.integers(0, 2), min_size=n_s, max_size=n_s)))
     k = draw(st.integers(1, n + 1))
     delta = draw(st.sampled_from([0.0, 0.8, 1.0]))
@@ -92,13 +93,14 @@ def test_row_blocks_equal_dense_cost(problem, block):
     dense = cp.affinity_cost(Z, F, beta, mask)
     expected = cp.build_graph(dense, k, delta, mask)
     with blocks_of(block, n):
-        cost = RowBlockCost(Z, F, beta)
+        cost = RowBlockCost(cost_space(Z, F, beta))
         graph = cp.build_graph(cost, k, delta, mask)
-        streamed = quadratic_charge(RowBlockCost(Z, F, beta), graph)
+        streamed = quadratic_charge(cost, graph)
         blocked_dense = cp.build_graph(dense, k, delta, mask)
     assert_same_rows(graph, expected)
     assert_same_rows(blocked_dense, expected)
-    assert len(cost.multipliers) == 1
+    lam, _ = _graph_step(dense, k, delta, graph.source_labels, build=False)
+    np.testing.assert_array_equal(graph.multipliers, lam, strict=True)
     charge = quadratic_charge(dense, graph)
     assert quadratic_charge(cost, graph) == pytest.approx(charge, rel=1e-12, abs=0.0)
     assert streamed == pytest.approx(charge, rel=1e-12, abs=0.0)
@@ -116,7 +118,7 @@ def test_charge_skips_edges_the_dense_cost_masks(problem, block):
     masked = cp.affinity_cost(Z, F, beta, labels)
     loose = cp.build_graph(unmasked, k, delta, None)
     with blocks_of(block, Z.shape[1]):
-        streamed = quadratic_charge(RowBlockCost(Z, F, beta), loose)
+        streamed = quadratic_charge(RowBlockCost(cost_space(Z, F, beta)), loose)
         charge = quadratic_charge(masked, loose)
     expected = quadratic_charge(unmasked, loose)
     assert streamed == pytest.approx(expected, rel=1e-12, abs=0.0)
@@ -215,9 +217,9 @@ def test_graph_step_holds_about_three_row_blocks(monkeypatch, mib, cores):
     # The graph step's peak is its working set: each worker's cost block and
     # work block, of BLOCK_BYTES / w each for a pass cut for w workers, which
     # the calling thread allocates once per pass.  Four cores still run on
-    # at most MAX_WORKERS workers.  The work block holds the label cost
-    # scratch, then the partitioned copy of the costs and then the mask of
-    # each row's picks, so no worker allocates a block of its own.
+    # at most MAX_WORKERS workers.  The work block holds the gathered
+    # coordinates, then the partitioned copy of the costs and then the mask
+    # of each row's picks, so no worker allocates a block of its own.
     monkeypatch.setattr(crossprop.graph, "_worker_count", lambda: cores)
     ds = cp.gen_synthetic_shift(
         0, per_class=500, n_classes=3, rotation_deg=35.0, shift=(2.0, 1.0)
@@ -225,7 +227,7 @@ def test_graph_step_holds_about_three_row_blocks(monkeypatch, mib, cores):
     n = ds.n_samples
     F = np.random.default_rng(0).dirichlet(np.ones(ds.n_classes), size=n)
     with blocks_of((mib << 20) // (8 * n), n):
-        cost = RowBlockCost(ds.features, F, 0.1)
+        cost = RowBlockCost(cost_space(ds.features, F, 0.1))
         tracemalloc.start()
         try:
             graph = cp.build_graph(cost, 20, 0.8, ds.source_labels)

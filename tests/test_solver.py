@@ -111,10 +111,6 @@ class TestObjective:
         alpha, beta, gamma = 1.0, 0.3, 0.2
         ds, graph, L, F, P, M = self._state(rng, beta)
         scale = 1.7
-        got = objective(
-            P, graph, F, ds.features, M, alpha, beta, gamma,
-            graph_scale=scale,
-        )
         Z = P.T @ ds.features
         S = graph.toarray()
         dz = pairwise_sq_dists(Z)
@@ -124,6 +120,12 @@ class TestObjective:
         cross = labels[:, None] != labels[None, :]
         cost[: labels.size, : labels.size][cross] = np.inf
         np.fill_diagonal(cost, np.inf)
+        # The graph was built from the raw features, so its own multipliers
+        # are not those of this evaluation point's cost.
+        got = objective(
+            P, graph, F, ds.features, M, alpha, beta, gamma,
+            graph_scale=scale, cost_matrix=cost,
+        )
         expected = (
             float(np.trace(Z @ M @ Z.T))
             + (
@@ -152,13 +154,16 @@ class TestObjective:
         frozen = cp.affinity_cost(
             rng.standard_normal((3, ds.n_samples)), None, 0.0, ds.source_labels
         )
-        base = objective(P, graph, None, ds.features, M, alpha, beta, gamma)
+        Z = P.T @ ds.features
+        live = cp.affinity_cost(Z, None, 0.0, ds.source_labels)
+        base = objective(
+            P, graph, None, ds.features, M, alpha, beta, gamma,
+            cost_matrix=live,
+        )
         with_frozen = objective(
             P, graph, None, ds.features, M, alpha, beta, gamma,
             cost_matrix=frozen,
         )
-        Z = P.T @ ds.features
-        live = cp.affinity_cost(Z, None, 0.0, ds.source_labels)
         delta = (
             alpha
             * (quadratic_charge(frozen, graph) - quadratic_charge(live, graph))

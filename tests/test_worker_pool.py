@@ -17,7 +17,7 @@ import pytest
 import crossprop as cp
 import crossprop.graph
 import crossprop.linalg
-from crossprop.graph import RowBlockCost, _graph_step
+from crossprop.graph import RowBlockCost, _graph_step, cost_space
 
 N_SOURCE, N_TARGET = 61, 52
 ROWS = 7  # rows of a block against all samples
@@ -72,12 +72,13 @@ def test_graph_step_is_bit_identical_across_worker_counts(
             workers(mp, count)
             opened = pools(mp)
             if streamed:
-                cost = RowBlockCost(Z, F, beta)
+                cost = RowBlockCost(cost_space(Z, F, beta))
             else:
                 cost = cp.affinity_cost(Z, F, beta, mask)
             graph = cp.build_graph(cost, 5, 0.8, mask)
             lam, rows = _graph_step(cost, 5, 0.8, mask)
         assert opened == ([] if count == 1 else [1, 1])
+        np.testing.assert_array_equal(graph.multipliers, lam, strict=True)
         results.append((graph.rows, rows, lam))
     S1, _, lam1 = results[0]
     for S, R, lam in results:
@@ -118,7 +119,8 @@ def test_no_pass_runs_on_more_workers_than_it_is_cut_for(monkeypatch):
     built = []
     for rows in (1, 2):
         monkeypatch.setattr(crossprop.linalg, "BLOCK_BYTES", 8 * n * rows)
-        built.append(cp.build_graph(RowBlockCost(Z, F, 0.1), 5, 0.8, labels).rows)
+        cost = RowBlockCost(cost_space(Z, F, 0.1))
+        built.append(cp.build_graph(cost, 5, 0.8, labels).rows)
         assert opened == [1] * (rows - 1)
     assert_same_csr(*built)
 
@@ -136,7 +138,7 @@ def test_fit_leaves_no_thread_behind(monkeypatch):
 
 def _build_in_child():
     Z, F, labels = problem()
-    cp.build_graph(RowBlockCost(Z, F, 0.1), 5, 0.8, labels)
+    cp.build_graph(RowBlockCost(cost_space(Z, F, 0.1)), 5, 0.8, labels)
 
 
 def test_forked_child_runs_the_graph_step_after_its_parent(monkeypatch):
