@@ -16,8 +16,8 @@ standard symmetric eigenproblem in the whitened coordinates
 (:func:`crossprop.solver.factor_scatter`), so a rank-deficient scatter is
 repaired once per fit; :func:`solve_sym_definite_geig` is the generalized
 eigensolver that reduction is checked against.  The graph Laplacian's
-free-free block is not solved here: :mod:`crossprop.propagation` factors only
-its non-singular reachable part with a sparse LU, so no ridge touches it.
+free-free block is not solved here: :mod:`crossprop.propagation` solves it by
+Jacobi-preconditioned conjugate gradients, so no ridge touches it.
 """
 
 from typing import NamedTuple

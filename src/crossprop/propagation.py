@@ -10,16 +10,23 @@ Each free row of the solution holds the probabilities that a random walk
 from that sample first hits a clamped sample of each class, so it sums to
 one -- provided the walk can reach a clamped sample at all.
 
+``L_ff`` is solved for all class columns at once by conjugate gradients
+with a Jacobi preconditioner, started from zero; each column takes its own
+step sizes, and all columns share one sparse product per step.  The matrix
+is never factored or densified, and no ridge is added.  The loop stops
+once every column's residual norm is at most :data:`CG_RTOL` of its
+right-hand side's, so a reachable row sums to one within that tolerance.
+
 A free row is *reachable* when its connected component of the graph holds a
-clamped row.  Components are found on the nonzero pattern of ``L``, so a
-stored zero weight is no edge.  The ``L_ff`` block of the reachable rows is
-an irreducibly diagonally dominant M-matrix, hence non-singular, and it is
-factored with a sparse LU.  It is never densified, and no ridge is added.
-An unreachable row has no clamped sample to take a label from: its soft
-labels are exactly zero by construction, and :func:`decide_labels` maps it
-to class zero.  On the 3000-sample synthetic shift with ``k = 20``
-(generator seed 0), 416 of 1500 target rows are unreachable at the final
-iteration.
+clamped row.  ``L_ff`` is block-diagonal over the components, and on the
+reachable ones it is an irreducibly diagonally dominant M-matrix, hence
+positive definite.  A component with no clamped row has a zero right-hand
+side, so every update multiplies its rows by exact zeros: CG never moves
+them off zero, although their block of ``L_ff`` is singular.  A stored
+zero weight is no edge for the same reason.  An unreachable row has no
+clamped sample to take a label from, and :func:`decide_labels` maps it to
+class zero.  On the 3000-sample synthetic shift with ``k = 20`` (generator
+seed 0), 416 of 1500 target rows are unreachable at the final iteration.
 
 The Laplacian may be a dense array or a scipy sparse array; the solver
 passes a ``csr_array``.
@@ -27,30 +34,20 @@ passes a ``csr_array``.
 
 import numpy as np
 import scipy.sparse
-from scipy.sparse.csgraph import connected_components
-from scipy.sparse.linalg import splu
 
-from .exceptions import ArgumentError, ShapeError, SingularMatrix
+from .exceptions import ArgumentError, ConvergenceError, ShapeError, SingularMatrix
+
+CG_RTOL = 1e-10
+"""Residual norm, relative to the right-hand side's, at which a column stops."""
+
+CG_STEPS_PER_ROW = 2
+"""Conjugate-gradient steps allowed per free row before the solve gives up.
+
+In exact arithmetic CG ends within one step per free row."""
 
 
-def reachable_rows(L, n_clamped):
-    """Mask of the rows after the clamped prefix that have a path to a clamped row.
-
-    ``L`` is a ``csr_array`` Laplacian or weight matrix.  Its nonzero
-    entries are the edges; a stored zero is none.  Only a matrix that
-    stores zeros is copied to drop them; the fit's Laplacians store none,
-    because sparse addition and subtraction drop them.
-    """
-    pattern = L
-    if not L.data.all():
-        pattern = scipy.sparse.csr_array(
-            (L.data != 0.0, L.indices, L.indptr), shape=L.shape, copy=True
-        )
-        pattern.eliminate_zeros()
-    _, component = connected_components(pattern, directed=False)
-    clamped = np.zeros(component.max(initial=-1) + 1, dtype=bool)
-    clamped[component[:n_clamped]] = True
-    return clamped[component[n_clamped:]]
+def _column_dots(a, b):
+    return np.einsum("ij,ij->j", a, b)
 
 
 def harmonic_solve(L, clamped):
@@ -67,7 +64,8 @@ def harmonic_solve(L, clamped):
     -------
     F_free : ndarray of shape (n - n_clamped, C)
         Soft labels of the free samples.  Rows without a path to a clamped
-        row are exactly zero.
+        row are exactly zero; every column's residual is at most
+        :data:`CG_RTOL` of its right-hand side's.
 
     Raises
     ------
@@ -77,8 +75,10 @@ def harmonic_solve(L, clamped):
     ArgumentError
         If ``clamped`` holds non-finite entries.
     SingularMatrix
-        If ``L`` holds non-finite entries, or the sparse factorization of
-        the reachable free block fails.
+        If ``L`` holds non-finite entries.
+    ConvergenceError
+        If the residuals do not reach :data:`CG_RTOL` within
+        :data:`CG_STEPS_PER_ROW` steps per free row.
     """
     clamped = np.asarray(clamped, dtype=float)
     L = scipy.sparse.csr_array(L, dtype=float)
@@ -93,25 +93,36 @@ def harmonic_solve(L, clamped):
         raise ArgumentError("clamped rows contain non-finite entries")
     if not np.all(np.isfinite(L.data)):
         raise SingularMatrix("Laplacian contains non-finite entries")
-    reach = reachable_rows(L, n_clamped)
-    F_free = np.zeros((reach.size, clamped.shape[1]))
-    if not reach.any():
-        return F_free
-    free = np.flatnonzero(reach) + n_clamped
-    # The reachable free rows are sliced once; in CSC both of their blocks
-    # are column selections, and L_ff is already in the form splu takes.
-    rows = L[free].tocsc()
-    rhs = -(rows[:, :n_clamped] @ clamped)
-    try:
-        factor = splu(
-            rows[:, free],
-            permc_spec="MMD_AT_PLUS_A",
-            options={"SymmetricMode": True},
-        )
-    except RuntimeError as exc:
-        raise SingularMatrix(f"free-free Laplacian block: {exc}") from exc
-    F_free[reach] = factor.solve(rhs)
-    return F_free
+    A = L[n_clamped:, n_clamped:]
+    R = -(L[n_clamped:, :n_clamped] @ clamped)
+    X = np.zeros_like(R)
+    diag = A.diagonal()
+    inv_diag = np.divide(1.0, diag, out=np.zeros_like(diag), where=diag != 0.0)[:, None]
+    target = CG_RTOL * np.linalg.norm(R, axis=0)
+    Z = inv_diag * R
+    P = Z.copy()
+    rz = _column_dots(R, Z)
+    budget = CG_STEPS_PER_ROW * R.shape[0]
+    steps = 0
+    while np.any(np.linalg.norm(R, axis=0) > target):
+        if steps >= budget:
+            raise ConvergenceError(
+                f"harmonic solve: residuals above {CG_RTOL:g} of the "
+                f"right-hand side's after {steps} steps"
+            )
+        steps += 1
+        Q = A @ P
+        pq = _column_dots(P, Q)
+        alpha = np.divide(rz, pq, out=np.zeros_like(rz), where=pq != 0.0)
+        X += alpha * P
+        R -= alpha * Q
+        np.multiply(inv_diag, R, out=Z)
+        rz_next = _column_dots(R, Z)
+        beta = np.divide(rz_next, rz, out=np.zeros_like(rz), where=rz != 0.0)
+        P *= beta
+        P += Z
+        rz = rz_next
+    return X
 
 
 def decide_labels(F):

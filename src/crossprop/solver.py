@@ -103,10 +103,11 @@ class FitState:
     """Snapshot of the solver after one outer iteration.
 
     ``unreachable_rows`` counts the free rows of ``F`` that are exactly zero:
-    the samples with no path in ``graph`` to a clamped sample.  A reachable
-    row sums to one, so the count is exact.  ``label_change`` is the
-    fraction of the unlabeled targets whose label differs from the previous
-    iteration's; ``target_labels`` is the fit's own copy.
+    the samples with no path in ``graph`` to a clamped sample, which the
+    harmonic solve's CG never moves off zero.  A reachable row sums to one
+    within the solver tolerance, so the count is exact.  ``label_change``
+    is the fraction of the unlabeled targets whose label differs from the
+    previous iteration's; ``target_labels`` is the fit's own copy.
     """
 
     iteration: int

@@ -1,5 +1,10 @@
 """Harmonic label propagation on clamped graphs."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -8,13 +13,23 @@ import scipy.sparse
 import crossprop as cp
 import crossprop.linalg
 import crossprop.propagation
-from crossprop.propagation import reachable_rows
 
 from conftest import fixed_point_propagation, random_connected_weights
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def laplacian_of(W):
     return np.diag(W.sum(axis=1)) - W
+
+
+def path_laplacian(n):
+    """Laplacian of the unit-weight path 0-1-...-(n-1), ends ordered first."""
+    order = np.r_[0, n - 1, 1 : n - 1]
+    W = np.zeros((n, n))
+    i = np.arange(n - 1)
+    W[i, i + 1] = W[i + 1, i] = 1.0
+    return laplacian_of(W[np.ix_(order, order)])
 
 
 class TestHarmonicSolve:
@@ -85,8 +100,8 @@ class TestHarmonicSolve:
             assert energy(full + bump) >= base - 1e-10
 
     def test_disconnected_free_node_degrades_to_zero_scores(self):
-        # A free node with no edges has no path to a clamped node, so it is
-        # left out of the solve and its scores are exactly zero.
+        # A free node with no edges has no path to a clamped node: its
+        # preconditioner is 0 and its scores stay exactly zero.
         W = np.zeros((3, 3))
         W[0, 1] = W[1, 0] = 1.0  # node 2 floats free
         F = cp.harmonic_solve(laplacian_of(W), np.array([[1.0, 0.0]]))
@@ -105,6 +120,42 @@ class TestHarmonicSolve:
     def test_inconsistent_shapes_raise(self, L, clamped):
         with pytest.raises(cp.ShapeError):
             cp.harmonic_solve(L, clamped)
+
+    def test_long_path_matches_the_linear_interpolation(self):
+        # 498 free nodes between a class-0 end and a class-1 end: the exact
+        # answer is the resistive divider, linear in the distance to an end.
+        n = 500
+        F = cp.harmonic_solve(scipy.sparse.csr_array(path_laplacian(n)), np.eye(2))
+        t = np.arange(1, n - 1) / (n - 1)
+        npt.assert_allclose(F, np.column_stack([1.0 - t, t]), rtol=0.0, atol=1e-10)
+
+    def test_exhausted_step_budget_raises(self, monkeypatch):
+        # CG needs a step per free node to carry a label down the path, so
+        # half a step per free row cannot converge.
+        monkeypatch.setattr(crossprop.propagation, "CG_STEPS_PER_ROW", 0.5)
+        with pytest.raises(cp.ConvergenceError):
+            cp.harmonic_solve(path_laplacian(50), np.eye(2))
+        monkeypatch.setattr(crossprop.propagation, "CG_STEPS_PER_ROW", 1)
+        F = cp.harmonic_solve(path_laplacian(50), np.eye(2))
+        npt.assert_allclose(F.sum(axis=1), 1.0, rtol=0.0, atol=1e-10)
+
+    def test_no_sparse_solver_module_is_imported(self):
+        script = (
+            "import sys, crossprop as cp\n"
+            "ds = cp.gen_synthetic_shift(0, per_class=10, n_classes=2)\n"
+            "cp.fit(ds, cp.HyperParams(k=5, iterations=2, d=2))\n"
+            "print(sorted(m for m in ('scipy.sparse.linalg', 'scipy.sparse.csgraph')"
+            " if m in sys.modules))\n"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", script],
+            env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "[]"
 
     def test_every_row_clamped_leaves_no_free_row(self):
         L = laplacian_of(np.ones((3, 3)) - np.eye(3))
@@ -190,12 +241,6 @@ class TestUnreachableRows:
         expected = dense_reachable_solve(L.toarray(), clamped, reachable)
         npt.assert_allclose(F[reachable], expected, rtol=0.0, atol=1e-12)
         assert np.all(F[~reachable] == 0.0)
-
-    def test_reachable_rows_mask(self, rng):
-        W, reachable = split_graph(rng)
-        L = scipy.sparse.csr_array(laplacian_of(W))
-        npt.assert_array_equal(reachable_rows(L, 2), reachable)
-        npt.assert_array_equal(reachable_rows(L, 0), np.zeros(10, dtype=bool))
 
     def test_no_clamped_row_gives_all_zero_scores(self, rng):
         W, _ = split_graph(rng)
