@@ -41,7 +41,7 @@ degenerate denominator) need the order of tied costs;
 :func:`_stable_smallest` ranks just those rows by one stable sort, ties to
 the lower column, and they get uniform weights as in
 :func:`_block_weights`.  Each block's flat ``(row, col, weight)`` edges
-become one CSR part (:func:`_csr`).  The multipliers ``lam`` of
+go straight into the graph's one CSR array.  The multipliers ``lam`` of
 :func:`quadratic_charge` and :func:`block_multiplier` come from the same
 closed form.
 
@@ -55,8 +55,8 @@ and each worker reads blocks of about ``crossprop.linalg.BLOCK_BYTES / w``
 bytes of candidate costs into a cost buffer and a work buffer that the
 calling thread allocates once per pass; the selected local columns map
 back through the group's column sets.  The calling thread writes the
-multipliers and stacks the rows in block order, so the graph depends
-neither on thread scheduling nor on the host's core count.  Blocks of
+multipliers and the rows into place, so the graph depends neither on
+thread scheduling nor on the host's core count.  Blocks of
 other shapes change the BLAS products that compute the costs, so a
 different :data:`crossprop.linalg.BLOCK_BYTES` can move weights in the
 last place (about 1e-13).  :func:`build_graph` and
@@ -87,6 +87,7 @@ import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -156,6 +157,11 @@ class AffinityGraph:
     delta: float
     source_labels: np.ndarray | None = None
     multipliers: np.ndarray | None = None
+
+    @cached_property
+    def degree(self):
+        """Degrees of ``(S + S.T) / 2``, row plus column sums halved, summed on first use."""
+        return (self.rows.sum(axis=1) + self.rows.sum(axis=0)) / 2.0
 
     @property
     def n_samples(self):
@@ -390,8 +396,10 @@ def _map_row_blocks(A, groups, task):
     do not depend on the host.  The pass runs on ``w`` workers, or on as
     many as there are cores (:func:`_worker_count`) or blocks if fewer.
     The calling thread allocates each worker's cost and work buffers once
-    per call, so a worker reading a :class:`RowBlockCost` allocates nothing
-    block-sized.  The calling thread is one of the workers, and the others
+    per call, as two views of one array, so a worker reading a
+    :class:`RowBlockCost` allocates nothing block-sized (freed as one block,
+    not two, they kept their heap pages between passes in 900-sample fits).
+    The calling thread is one of the workers, and the others
     run on a thread pool opened and closed within the call; a pass with one
     worker runs inline.  One worker at a time computes costs, so at most
     one BLAS product runs at once: a single-threaded BLAS overlaps with the
@@ -413,10 +421,9 @@ def _map_row_blocks(A, groups, task):
             cost_size = max(cost_size, n_rows * sum(widths))
             work_size = max(work_size, A.work_size(n_rows, col_sets))
         chunks += [(rows[i : i + step], col_sets) for i in range(0, rows.size, step)]
-    buffers = [
-        (np.empty(cost_size), np.empty(work_size))
-        for _ in range(min(workers, _worker_count(), len(chunks)))
-    ]
+    count = min(workers, _worker_count(), len(chunks))
+    scratch = [np.empty(cost_size + work_size) for _ in range(count)]
+    buffers = [(each[:cost_size], each[cost_size:]) for each in scratch]
 
     costing = threading.Lock()
 
@@ -592,16 +599,6 @@ def _block_edges(costs, k, mass, sel, work):
     )
 
 
-def _csr(shape, row, col, weight):
-    """CSR array of the positive ``weight`` at ``(row, col)``, each row in edge order."""
-    keep = weight > 0.0
-    row, col, weight = row[keep], col[keep], weight[keep]
-    order = np.argsort(row, kind="stable")
-    indptr = np.zeros(shape[0] + 1, dtype=np.intp)
-    np.cumsum(np.bincount(row, minlength=shape[0]), out=indptr[1:])
-    return scipy.sparse.csr_array((weight[order], col[order], indptr), shape=shape)
-
-
 def _graph_step(A, k, delta, labels, build=True):
     """The closed form of every row of ``A``, one block of rows at a time.
 
@@ -611,8 +608,8 @@ def _graph_step(A, k, delta, labels, build=True):
     ``labels``) spend unit mass over all their candidates.  Each block of
     rows takes one :func:`_closed_form` per candidate column set, whose
     :func:`_block_edges` local columns map back through the set, and a split
-    row's mass comes from its source block.  Each block of rows becomes one
-    CSR part, and one row permutation puts the parts' rows back in order.
+    row's mass comes from its source block.  Each block sorts its positive
+    edges by row, and their counts per row place them in the one CSR array.
 
     Returns
     -------
@@ -641,25 +638,32 @@ def _graph_step(A, k, delta, labels, build=True):
             row, local, weight = _block_edges(block, k, mass, sel, work)
             edges.append((row, cols[local], weight))
         row, col, weight = (np.concatenate(e) for e in zip(*edges))
-        return lams, _csr((rows.size, n), row, col, weight)
+        keep = weight > 0.0
+        row, col, weight = row[keep], col[keep], weight[keep]
+        order = np.argsort(row, kind="stable")
+        return lams, (np.bincount(row, minlength=rows.size), col[order], weight[order])
 
     lam = np.zeros((n, 2))
-    parts, order = [], []
-    for rows, (lams, part) in _map_row_blocks(A, _row_groups(n, labels), rows_of):
-        for b, values in enumerate(lams):
-            lam[rows, b] = values
+    counts = np.zeros(n, dtype=np.intp)
+    blocks = _map_row_blocks(A, _row_groups(n, labels), rows_of)
+    for rows, (lams, edges) in blocks:
+        lam[rows, : len(lams)] = np.column_stack(lams)
         if build:
-            parts.append(part)
-            order.append(rows)
+            counts[rows] = edges[0]
     if not build:
         return lam, None
-    if not parts:
-        return lam, scipy.sparse.csr_array(A.shape)
-    S = scipy.sparse.vstack(parts, format="csr")
-    order = np.concatenate(order)
-    if np.any(order[1:] < order[:-1]):
-        S = S[np.argsort(order)]
-    return lam, S
+    indptr = np.zeros(n + 1, dtype=np.intp)
+    np.cumsum(counts, out=indptr[1:])
+    indices = np.empty(indptr[-1], dtype=np.intp)
+    data = np.empty(indptr[-1])
+    while blocks:
+        rows, (_, (count, col, weight)) = blocks.pop()
+        if _consecutive(rows):
+            at = slice(indptr[rows[0]], indptr[rows[-1] + 1])
+        else:  # an edge's slot is its row's start plus its rank within the row
+            at = np.repeat(indptr[rows] - np.cumsum(count) + count, count) + np.arange(col.size)
+        indices[at], data[at] = col, weight
+    return lam, scipy.sparse.csr_array((data, indices, indptr), shape=A.shape)
 
 
 def build_graph(A, k, delta, source_labels):
@@ -784,7 +788,7 @@ def sparse_laplacian(graph):
     """
     W = graph.rows + graph.rows.T
     W.data /= 2.0
-    return scipy.sparse.diags_array(W.sum(axis=1), format="csr") - W
+    return scipy.sparse.diags_array(graph.degree, format="csr") - W
 
 
 def row_laplacian(graph):
@@ -795,9 +799,7 @@ def row_laplacian(graph):
     only the diagonal and the graph's rows, about 60% of the Laplacian's
     entries, and is what the projection step multiplies by.
     """
-    S = graph.rows
-    degree = (S.sum(axis=1) + S.sum(axis=0)) / 2.0
-    return scipy.sparse.diags_array(degree, format="csr") - S
+    return scipy.sparse.diags_array(graph.degree, format="csr") - graph.rows
 
 
 def quadratic_charge(A, graph):

@@ -14,8 +14,9 @@ one -- provided the walk can reach a clamped sample at all.
 with a Jacobi preconditioner, started from zero; each column takes its own
 step sizes, and all columns share one sparse product per step.  The matrix
 is never factored or densified, and no ridge is added.  The loop stops
-once every column's residual norm is at most :data:`CG_RTOL` of its
-right-hand side's, so a reachable row sums to one within that tolerance.
+once every column's squared residual norm is at most :data:`CG_RTOL`
+squared times its right-hand side's, so a reachable row sums to one within
+that tolerance.  The column of a class with no clamped row stays zero.
 
 A free row is *reachable* when its connected component of the graph holds a
 clamped row.  ``L_ff`` is block-diagonal over the components, and on the
@@ -98,13 +99,15 @@ def harmonic_solve(L, clamped):
     X = np.zeros_like(R)
     diag = A.diagonal()
     inv_diag = np.divide(1.0, diag, out=np.zeros_like(diag), where=diag != 0.0)[:, None]
-    target = CG_RTOL * np.linalg.norm(R, axis=0)
     Z = inv_diag * R
     P = Z.copy()
     rz = _column_dots(R, Z)
+    target = CG_RTOL**2 * _column_dots(R, R)
     budget = CG_STEPS_PER_ROW * R.shape[0]
+    # Per-column broadcasts: 2-3x faster down columns for few classes, along rows for many.
+    order = "F" if R.shape[1] <= 4 else "K"
     steps = 0
-    while np.any(np.linalg.norm(R, axis=0) > target):
+    while np.any(_column_dots(R, R) > target):
         if steps >= budget:
             raise ConvergenceError(
                 f"harmonic solve: residuals above {CG_RTOL:g} of the "
@@ -113,13 +116,13 @@ def harmonic_solve(L, clamped):
         steps += 1
         Q = A @ P
         pq = _column_dots(P, Q)
-        alpha = np.divide(rz, pq, out=np.zeros_like(rz), where=pq != 0.0)
-        X += alpha * P
-        R -= alpha * Q
-        np.multiply(inv_diag, R, out=Z)
+        # pq or rz is zero only in an all-zero column of P, which any step keeps.
+        alpha = rz / (pq + (pq == 0.0))
+        X += np.multiply(alpha, P, out=Z, order=order)
+        R -= np.multiply(alpha, Q, out=Z, order=order)
+        np.multiply(inv_diag, R, out=Z, order=order)
         rz_next = _column_dots(R, Z)
-        beta = np.divide(rz_next, rz, out=np.zeros_like(rz), where=rz != 0.0)
-        P *= beta
+        np.multiply(P, rz_next / (rz + (rz == 0.0)), out=P, order=order)
         P += Z
         rz = rz_next
     return X

@@ -254,16 +254,15 @@ def solve_projection(X, M, L, alpha, gamma, d, factor=None):
     return inverse @ U
 
 
-def _edge_energy(S, Y):
+def _edge_energy(graph, Y):
     """``sum_ij S[i, j] * ||Y[i] - Y[j]||^2`` from one sparse product with ``S``.
 
-    The square expands to ``(r + c) . q - 2 <Y, S Y>``, where ``r`` and
-    ``c`` are the row and column sums of ``S`` and ``q[i] = ||Y[i]||^2``,
-    so no edge's endpoints are gathered.
+    The square expands to ``2 (d . q - <Y, S Y>)``, with the graph's
+    ``degree`` ``d`` and ``q[i] = ||Y[i]||^2``, so no edge's endpoints are
+    gathered.
     """
     q = np.einsum("ij,ij->i", Y, Y)
-    degree = S.sum(axis=1) + S.sum(axis=0)
-    return float(degree @ q - 2.0 * np.einsum("ij,ij->", Y, S @ Y))
+    return 2.0 * float(graph.degree @ q - np.einsum("ij,ij->", Y, graph.rows @ Y))
 
 
 def _graph_scale(L):
@@ -303,11 +302,15 @@ def objective(
     come from its ``source_labels``.  The graph and label energies each
     take one sparse product with the graph's rows.
     """
-    Z = P.T @ X
-    graph_energy = _edge_energy(graph.rows, Z.T)
+    return _objective(P, P.T @ X, graph, F, M, alpha, beta, gamma, graph_scale, cost_matrix)
+
+
+def _objective(P, Z, graph, F, M, alpha, beta, gamma, graph_scale, cost_matrix=None):
+    """:func:`objective` with the projected samples ``Z = P.T @ X`` given."""
+    graph_energy = _edge_energy(graph, Z.T)
     label_energy = 0.0
     if F is not None:
-        label_energy = _edge_energy(graph.rows, np.asarray(F, dtype=float))
+        label_energy = _edge_energy(graph, np.asarray(F, dtype=float))
     if cost_matrix is None and graph.multipliers is None:
         cost_matrix = RowBlockCost(cost_space(Z, F, beta))
     charge = quadratic_charge(cost_matrix, graph)
@@ -434,16 +437,8 @@ def fit(dataset, params=None, log_sink=None, on_iteration=None):
         scale, F, labels = _propagate(graph, clamp, known)
         change = float(np.mean(labels[unlabeled] != previous[unlabeled]))
 
-        value = objective(
-            P,
-            graph,
-            F,
-            X,
-            M,
-            params.alpha,
-            cost_beta,
-            params.gamma,
-            graph_scale=scale,
+        value = _objective(
+            P, Z, graph, F, M, params.alpha, cost_beta, params.gamma, scale
         )
 
         report.iterations = t

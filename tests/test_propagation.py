@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -138,6 +139,28 @@ class TestHarmonicSolve:
         monkeypatch.setattr(crossprop.propagation, "CG_STEPS_PER_ROW", 1)
         F = cp.harmonic_solve(path_laplacian(50), np.eye(2))
         npt.assert_allclose(F.sum(axis=1), 1.0, rtol=0.0, atol=1e-10)
+
+    @pytest.mark.parametrize("n_classes", [3, 6])
+    def test_class_without_a_clamped_row_gets_an_exact_zero_column(self, rng, n_classes):
+        # Class 1 has no clamped row: its right-hand side is zero, so its
+        # column takes 0 / 0 steps that must not turn into NaN.  Three and
+        # six classes run the solver's two broadcast orders.
+        present = np.setdiff1d(np.arange(n_classes), [1])
+        for n in (12, 60):
+            W = random_connected_weights(rng, n, extra_edges=n)
+            clamped = np.eye(n_classes)[rng.choice(present, size=present.size + 2)]
+            clamped[: present.size] = np.eye(n_classes)[present]
+            n_c = clamped.shape[0]
+            L = laplacian_of(W)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                F = cp.harmonic_solve(scipy.sparse.csr_array(L), clamped)
+            npt.assert_array_equal(F[:, 1], 0.0)
+            B = -L[n_c:, :n_c] @ clamped
+            residual = np.linalg.norm(L[n_c:, n_c:] @ F - B, axis=0)
+            target = crossprop.propagation.CG_RTOL * np.linalg.norm(B, axis=0)
+            assert np.all(residual[present] <= target[present])
+            npt.assert_allclose(F.sum(axis=1), 1.0, rtol=0.0, atol=1e-8)
 
     def test_no_sparse_solver_module_is_imported(self):
         script = (
