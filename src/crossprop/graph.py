@@ -135,7 +135,7 @@ more than :data:`MAX_WORKERS` workers, the count these figures cover.
 """
 
 
-@dataclass
+@dataclass(frozen=True)
 class AffinityGraph:
     """Row-stochastic affinity graph.
 
@@ -150,6 +150,7 @@ class AffinityGraph:
     of row multipliers ``lam`` the graph step pinned while building the
     rows (see :func:`_graph_step`), which :func:`quadratic_charge` charges;
     it is ``None`` for a graph no graph step built, such as a Gaussian one.
+    It is frozen; ``degree`` is summed once, so do not edit ``rows`` in place.
     """
 
     rows: scipy.sparse.csr_array
@@ -397,15 +398,15 @@ def _map_row_blocks(A, groups, task):
     many as there are cores (:func:`_worker_count`) or blocks if fewer.
     The calling thread allocates each worker's cost and work buffers once
     per call, as two views of one array, so a worker reading a
-    :class:`RowBlockCost` allocates nothing block-sized (freed as one block,
-    not two, they kept their heap pages between passes in 900-sample fits).
-    The calling thread is one of the workers, and the others
-    run on a thread pool opened and closed within the call; a pass with one
-    worker runs inline.  One worker at a time computes costs, so at most
-    one BLAS product runs at once: a single-threaded BLAS overlaps with the
-    other workers' selections, and a multithreaded one is not
-    oversubscribed.  The results come in block order, so they do not depend
-    on thread scheduling.
+    :class:`RowBlockCost` allocates nothing block-sized.  (glibc trims a
+    free heap top past twice its largest freed ``mmap`` block: two buffers
+    freed together can pass that, one array of both cannot.)  The calling
+    thread is one of the workers, and the others run on a thread pool
+    opened and closed within the call; a pass with one worker runs inline.
+    One worker at a time computes costs, so at most one BLAS product runs
+    at once: a single-threaded BLAS overlaps with the other workers'
+    selections, and a multithreaded one is not oversubscribed.  The
+    results come in block order, so they do not depend on thread scheduling.
     """
     streamed = isinstance(A, RowBlockCost)
     entries = sum(rows.size * sum(map(len, col_sets)) for rows, col_sets in groups)

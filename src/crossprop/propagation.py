@@ -104,8 +104,6 @@ def harmonic_solve(L, clamped):
     rz = _column_dots(R, Z)
     target = CG_RTOL**2 * _column_dots(R, R)
     budget = CG_STEPS_PER_ROW * R.shape[0]
-    # Per-column broadcasts: 2-3x faster down columns for few classes, along rows for many.
-    order = "F" if R.shape[1] <= 4 else "K"
     steps = 0
     while np.any(_column_dots(R, R) > target):
         if steps >= budget:
@@ -118,11 +116,12 @@ def harmonic_solve(L, clamped):
         pq = _column_dots(P, Q)
         # pq or rz is zero only in an all-zero column of P, which any step keeps.
         alpha = rz / (pq + (pq == 0.0))
-        X += np.multiply(alpha, P, out=Z, order=order)
-        R -= np.multiply(alpha, Q, out=Z, order=order)
-        np.multiply(inv_diag, R, out=Z, order=order)
+        # Fortran iteration order: 2-3x faster broadcasts at three classes.
+        X += np.multiply(alpha, P, out=Z, order="F")
+        R -= np.multiply(alpha, Q, out=Z, order="F")
+        np.multiply(inv_diag, R, out=Z, order="F")
         rz_next = _column_dots(R, Z)
-        np.multiply(P, rz_next / (rz + (rz == 0.0)), out=P, order=order)
+        np.multiply(P, rz_next / (rz + (rz == 0.0)), out=P, order="F")
         P += Z
         rz = rz_next
     return X
