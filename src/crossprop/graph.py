@@ -41,7 +41,7 @@ degenerate denominator) need the order of tied costs;
 :func:`_stable_smallest` ranks just those rows by one stable sort, ties to
 the lower column, and they get uniform weights as in
 :func:`_block_weights`.  Each block's flat ``(row, col, weight)`` edges
-go straight into the graph's one CSR array.  The multipliers ``lam`` of
+go straight into their rows' slots of the graph.  The multipliers ``lam`` of
 :func:`quadratic_charge` and :func:`block_multiplier` come from the same
 closed form.
 
@@ -54,9 +54,9 @@ runs the blocks of rows of a pass on one worker per core, up to
 and each worker reads blocks of about ``crossprop.linalg.BLOCK_BYTES / w``
 bytes of candidate costs into a cost buffer and a work buffer that the
 calling thread allocates once per pass; the selected local columns map
-back through the group's column sets.  The calling thread writes the
-multipliers and the rows into place, so the graph depends neither on
-thread scheduling nor on the host's core count.  Blocks of
+back through the group's column sets.  Each block writes the
+multipliers and edges of its own rows into place, so the graph depends
+neither on thread scheduling nor on the host's core count.  Blocks of
 other shapes change the BLAS products that compute the costs, so a
 different :data:`crossprop.linalg.BLOCK_BYTES` can move weights in the
 last place (about 1e-13).  :func:`build_graph` and
@@ -396,17 +396,18 @@ def _map_row_blocks(A, groups, task):
     each worker.  The block shapes, and with them the bits of every result,
     do not depend on the host.  The pass runs on ``w`` workers, or on as
     many as there are cores (:func:`_worker_count`) or blocks if fewer.
-    The calling thread allocates each worker's cost and work buffers once
-    per call, as two views of one array, so a worker reading a
+    The calling thread allocates every worker's cost and work buffers once
+    per call, as views of one array, so a worker reading a
     :class:`RowBlockCost` allocates nothing block-sized.  (glibc trims a
-    free heap top past twice its largest freed ``mmap`` block: two buffers
-    freed together can pass that, one array of both cannot.)  The calling
-    thread is one of the workers, and the others run on a thread pool
-    opened and closed within the call; a pass with one worker runs inline.
-    One worker at a time computes costs, so at most one BLAS product runs
-    at once: a single-threaded BLAS overlaps with the other workers'
-    selections, and a multithreaded one is not oversubscribed.  The
-    results come in block order, so they do not depend on thread scheduling.
+    free heap top past twice its largest freed ``mmap`` block: separate
+    buffers freed together can pass that, one array of them all cannot.)
+    The calling thread is one of the workers, and the others run on a thread
+    pool opened and closed within the call; a pass with one worker runs
+    inline.  One worker at a time computes costs, so at most one BLAS
+    product runs at once: a single-threaded BLAS overlaps with the other
+    workers' selections, and a multithreaded one is not oversubscribed.
+    The results come in block order, so they do not depend on thread
+    scheduling.
     """
     streamed = isinstance(A, RowBlockCost)
     entries = sum(rows.size * sum(map(len, col_sets)) for rows, col_sets in groups)
@@ -423,7 +424,7 @@ def _map_row_blocks(A, groups, task):
             work_size = max(work_size, A.work_size(n_rows, col_sets))
         chunks += [(rows[i : i + step], col_sets) for i in range(0, rows.size, step)]
     count = min(workers, _worker_count(), len(chunks))
-    scratch = [np.empty(cost_size + work_size) for _ in range(count)]
+    scratch = np.empty((count, cost_size + work_size))
     buffers = [(each[:cost_size], each[cost_size:]) for each in scratch]
 
     costing = threading.Lock()
@@ -609,8 +610,11 @@ def _graph_step(A, k, delta, labels, build=True):
     ``labels``) spend unit mass over all their candidates.  Each block of
     rows takes one :func:`_closed_form` per candidate column set, whose
     :func:`_block_edges` local columns map back through the set, and a split
-    row's mass comes from its source block.  Each block sorts its positive
-    edges by row, and their counts per row place them in the one CSR array.
+    row's mass comes from its source block.  The CSR slots are sized before
+    the pass, ``min(k, size)`` per row and column set, which no selection
+    exceeds, so a block allocates nothing that outlives it: it writes its
+    rows' multipliers and row-sorted positive edges in place.  Rows left
+    with empty slots close up after the pass.
 
     Returns
     -------
@@ -622,6 +626,15 @@ def _graph_step(A, k, delta, labels, build=True):
         The graph rows, built only when ``build`` is true.
     """
     n = A.shape[0]
+    groups = _row_groups(n, labels)
+    lam = np.zeros((n, 2))
+    if build:
+        slots = np.zeros(n + 1, dtype=np.intp)  # first slot of each row
+        for rows, col_sets in groups:
+            slots[rows + 1] = sum(min(k, cols.size) for cols in col_sets)
+        np.cumsum(slots, out=slots)
+        indptr = np.zeros(n + 1, dtype=np.intp)  # row counts, summed after the pass
+        indices, data = np.empty(slots[-1], dtype=np.intp), np.empty(slots[-1])
 
     def rows_of(rows, col_sets, costs, work):
         sels = [_closed_form(block, k, work) for block in costs]
@@ -631,9 +644,10 @@ def _graph_step(A, k, delta, labels, build=True):
             masses = [src_mass, 1.0 - src_mass]
         else:
             masses = [np.ones(rows.size)]
-        lams = [_multipliers(sel.denom, mass) for sel, mass in zip(sels, masses)]
+        for b, (sel, mass) in enumerate(zip(sels, masses)):
+            lam[rows, b] = _multipliers(sel.denom, mass)
         if not build:
-            return lams, None
+            return
         edges = []
         for block, sel, mass, cols in zip(costs, sels, masses, col_sets):
             row, local, weight = _block_edges(block, k, mass, sel, work)
@@ -642,29 +656,24 @@ def _graph_step(A, k, delta, labels, build=True):
         keep = weight > 0.0
         row, col, weight = row[keep], col[keep], weight[keep]
         order = np.argsort(row, kind="stable")
-        return lams, (np.bincount(row, minlength=rows.size), col[order], weight[order])
+        count = np.bincount(row, minlength=rows.size)
+        first = slots[rows]
+        if _consecutive(rows) and order.size == slots[rows[-1] + 1] - first[0]:
+            at = slice(first[0], first[0] + order.size)
+        else:  # an edge's slot is its row's first slot plus its rank within the row
+            at = np.repeat(first - np.cumsum(count) + count, count) + np.arange(order.size)
+        indices[at], data[at] = col[order], weight[order]
+        indptr[rows + 1] = count
 
-    lam = np.zeros((n, 2))
-    counts = np.zeros(n, dtype=np.intp)
-    blocks = _map_row_blocks(A, _row_groups(n, labels), rows_of)
-    for rows, (lams, edges) in blocks:
-        lam[rows, : len(lams)] = np.column_stack(lams)
-        if build:
-            counts[rows] = edges[0]
+    _map_row_blocks(A, groups, rows_of)
     if not build:
         return lam, None
-    indptr = np.zeros(n + 1, dtype=np.intp)
-    np.cumsum(counts, out=indptr[1:])
-    indices = np.empty(indptr[-1], dtype=np.intp)
-    data = np.empty(indptr[-1])
-    while blocks:
-        rows, (_, (count, col, weight)) = blocks.pop()
-        if _consecutive(rows):
-            at = slice(indptr[rows[0]], indptr[rows[-1] + 1])
-        else:  # an edge's slot is its row's start plus its rank within the row
-            at = np.repeat(indptr[rows] - np.cumsum(count) + count, count) + np.arange(col.size)
-        indices[at], data[at] = col, weight
-    return lam, scipy.sparse.csr_array((data, indices, indptr), shape=A.shape)
+    np.cumsum(indptr, out=indptr)
+    nnz = indptr[-1]
+    if nnz < slots[-1]:
+        at = np.repeat(slots[:-1] - indptr[:-1], np.diff(indptr)) + np.arange(nnz)
+        indices[:nnz], data[:nnz] = indices[at], data[at]
+    return lam, scipy.sparse.csr_array((data[:nnz], indices[:nnz], indptr), shape=A.shape)
 
 
 def build_graph(A, k, delta, source_labels):

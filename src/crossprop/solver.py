@@ -421,6 +421,7 @@ def fit(dataset, params=None, log_sink=None, on_iteration=None):
     for t in range(1, params.iterations + 1):
         M = discrepancy_factor(y_s, labels, dataset.n_classes)
         graph_term = None if params.ablation == "sp" else row_laplacian(graph)
+        del graph  # not read below; dropped before the projection and graph step
         # alpha / scale weighs the Laplacian divided by its Frobenius norm;
         # without a graph term alpha is never read.
         P = solve_projection(
@@ -433,6 +434,7 @@ def fit(dataset, params=None, log_sink=None, on_iteration=None):
         else:
             cost = RowBlockCost(cost_space(Z, F, cost_beta))
             graph = build_graph(cost, params.k, params.delta, split)
+            del cost  # not held past its graph step
         previous = labels
         scale, F, labels = _propagate(graph, clamp, known)
         change = float(np.mean(labels[unlabeled] != previous[unlabeled]))
