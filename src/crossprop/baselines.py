@@ -62,10 +62,9 @@ def nearest_neighbor(train_features, train_labels, test_features):
     nearest = np.empty(test.size, dtype=np.intp)
 
     def argmin(rows, col_sets, costs, work):
-        return np.argmin(costs[0], axis=1)
+        nearest[rows - p] = np.argmin(costs[0], axis=1)
 
-    for rows, near in _map_row_blocks(dists, [(test, (np.arange(p),))], argmin):
-        nearest[rows - p] = near
+    _map_row_blocks(dists, [(test, (np.arange(p),))], argmin)
     return train_labels[nearest]
 
 

@@ -75,25 +75,24 @@ pick their nearest candidates through the same map over row blocks, the kNN
 graph with the same selection.
 
 A graph is stored as one ``scipy.sparse.csr_array`` from the graph step to
-the CLI.  The solver's Laplacian is a ``csr_array`` too
-(:func:`sparse_laplacian`); the dense :func:`laplacian` of an
-:class:`AffinityGraph` and :meth:`AffinityGraph.toarray` are kept for
-inspection and tests.
+the CLI.  The solver reads each graph through one operator, ``D - S``
+(:func:`row_laplacian`), a ``csr_array`` whose diagonal holds the only
+degree sums; its symmetric part is the Laplacian (:func:`sparse_laplacian`).
+The dense :func:`laplacian` of an :class:`AffinityGraph` and
+:meth:`AffinityGraph.toarray` are kept for inspection and tests.
 """
 
-import numbers
 import os
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse
 
-from .data import _as_labels
+from .data import _as_labels, _check_count
 from .exceptions import ArgumentError, ShapeError
 from .linalg import (
     block_rows,
@@ -150,7 +149,7 @@ class AffinityGraph:
     of row multipliers ``lam`` the graph step pinned while building the
     rows (see :func:`_graph_step`), which :func:`quadratic_charge` charges;
     it is ``None`` for a graph no graph step built, such as a Gaussian one.
-    It is frozen; ``degree`` is summed once, so do not edit ``rows`` in place.
+    It is frozen.
     """
 
     rows: scipy.sparse.csr_array
@@ -158,11 +157,6 @@ class AffinityGraph:
     delta: float
     source_labels: np.ndarray | None = None
     multipliers: np.ndarray | None = None
-
-    @cached_property
-    def degree(self):
-        """Degrees of ``(S + S.T) / 2``, row plus column sums halved, summed on first use."""
-        return (self.rows.sum(axis=1) + self.rows.sum(axis=0)) / 2.0
 
     @property
     def n_samples(self):
@@ -206,11 +200,6 @@ def _coordinates(Z, F=None):
         if not np.isfinite(F).all():
             raise ArgumentError("soft labels must be finite")
     return Z, F
-
-
-def _check_k(k):
-    if isinstance(k, bool) or not isinstance(k, numbers.Integral) or k < 1:
-        raise ArgumentError(f"k={k!r} must be an integer of at least 1")
 
 
 def affinity_cost(Z, F, beta, source_labels=None):
@@ -377,14 +366,15 @@ def _worker_count():
 
 
 def _map_row_blocks(A, groups, task):
-    """``(rows, task(rows, col_sets, costs, work))`` for every row block of ``groups``, in order.
+    """``task(rows, col_sets, costs, work)`` for every row block of ``groups``.
 
     ``groups`` holds ``(rows, col_sets)`` pairs (:func:`_row_groups`).  ``A``
     is a dense cost array, read as ``A[np.ix_(rows, cols)]``, or a
     :class:`RowBlockCost`, which computes the blocks
     (:meth:`RowBlockCost.fill`); ``costs`` lists one block per column set.
     ``work`` is a flat float buffer of at least the largest block's size,
-    which ``task`` may overwrite; a result must not refer to it.
+    which ``task`` may overwrite.  ``task`` returns nothing: it writes the
+    results of its ``rows`` into place, and no two blocks share a row.
 
     A pass is cut for ``w`` workers from its own size alone: at most
     :data:`MAX_WORKERS`, at most as many as give each worker
@@ -406,8 +396,8 @@ def _map_row_blocks(A, groups, task):
     inline.  One worker at a time computes costs, so at most one BLAS
     product runs at once: a single-threaded BLAS overlaps with the other
     workers' selections, and a multithreaded one is not oversubscribed.
-    The results come in block order, so they do not depend on thread
-    scheduling.
+    Each block writes only its own rows, so the results do not depend on
+    thread scheduling.
     """
     streamed = isinstance(A, RowBlockCost)
     entries = sum(rows.size * sum(map(len, col_sets)) for rows, col_sets in groups)
@@ -437,22 +427,22 @@ def _map_row_blocks(A, groups, task):
                 costs = A.fill(rows, col_sets, out, work)
         else:
             costs = [A[np.ix_(rows, cols)] for cols in col_sets]
-        return rows, task(rows, col_sets, costs, work)
+        task(rows, col_sets, costs, work)
 
     if len(buffers) <= 1:
-        return [run(chunk, buffers[0]) for chunk in chunks]
-    results = [None] * len(chunks)
-    pending = iter(enumerate(chunks))
+        for chunk in chunks:
+            run(chunk, buffers[0])
+        return
+    pending = iter(chunks)
     lock = threading.Lock()
 
     def drain(buffer):
         while True:
             with lock:
-                item = next(pending, None)
-            if item is None:
+                chunk = next(pending, None)
+            if chunk is None:
                 return
-            i, chunk = item
-            results[i] = run(chunk, buffer)
+            run(chunk, buffer)
 
     # The calling thread is one of the workers.
     with ThreadPoolExecutor(len(buffers) - 1) as pool:
@@ -460,7 +450,6 @@ def _map_row_blocks(A, groups, task):
         drain(buffers[0])
         for helper in helpers:
             helper.result()
-    return results
 
 
 def _block_weights(costs, k):
@@ -625,6 +614,9 @@ def _graph_step(A, k, delta, labels, build=True):
     rows : csr_array of A's shape, or None
         The graph rows, built only when ``build`` is true.
     """
+    if not isinstance(A, RowBlockCost) and not np.all(A > -np.inf):
+        # +inf excludes a candidate; a NaN or -inf cost has no row solution.
+        raise ArgumentError("a dense cost must not hold NaN or -inf")
     n = A.shape[0]
     groups = _row_groups(n, labels)
     lam = np.zeros((n, 2))
@@ -690,13 +682,15 @@ def build_graph(A, k, delta, source_labels):
     plain update; a source row's source candidates are the other sources of
     its class, whatever ``A`` holds for the other classes, and the graph
     records those labels.  With ``source_labels=None`` every row is treated
-    like a target row (unit mass over all finite candidates).  Raises
-    :class:`ArgumentError` when ``k`` is not an integer of at least 1 or
-    ``delta`` is not in ``[0, 1]``, and :class:`ShapeError` when ``A`` is
+    like a target row (unit mass over all finite candidates).  A dense
+    ``A`` may hold ``+inf``, which excludes a candidate.  Raises
+    :class:`ArgumentError` when ``k`` is not an integer of at least 1,
+    ``delta`` is not in ``[0, 1]`` or a dense ``A`` holds a NaN or
+    ``-inf``, and :class:`ShapeError` when ``A`` is
     not square or there are as many source labels as rows or more: a
     source row's ``1 - delta`` share needs target rows.
     """
-    _check_k(k)
+    _check_count("k", k, 1)
     if not 0.0 <= delta <= 1.0:
         raise ArgumentError(f"delta={delta} must lie in [0, 1]")
     if len(A.shape) != 2 or A.shape[0] != A.shape[1]:
@@ -732,7 +726,7 @@ def gaussian_knn_graph(Z, k, *, width=1.0):
     positive, ``Z`` holds a non-finite value, or there are fewer than two
     samples, and :class:`ShapeError` when ``Z`` is not 2-D.
     """
-    _check_k(k)
+    _check_count("k", k, 1)
     if not 0.0 < width < np.inf:
         raise ArgumentError(f"width={width} must be finite and positive")
     dists = RowBlockCost(Z)
@@ -740,6 +734,8 @@ def gaussian_knn_graph(Z, k, *, width=1.0):
     if n < 2:
         raise ArgumentError(f"{n} samples: need at least 2")
     k_eff = min(k, n - 1)
+    cols = np.empty((n, k_eff), dtype=np.intp)
+    sq = np.empty((n, k_eff))
 
     def nearest(rows, col_sets, costs, work):
         (D,) = costs
@@ -748,14 +744,9 @@ def gaussian_knn_graph(Z, k, *, width=1.0):
         near = np.empty((rows.size, k_eff), dtype=np.intp)
         near[~tied] = col[~tied[row]].reshape(-1, k_eff)
         near[tied] = _stable_smallest(D, tied, k_eff)
-        return near, np.take_along_axis(D, near, axis=1)
+        cols[rows], sq[rows] = near, np.take_along_axis(D, near, axis=1)
 
-    cols = np.empty((n, k_eff), dtype=np.intp)
-    sq = np.empty((n, k_eff))
-    for rows, (near, near_sq) in _map_row_blocks(
-        dists, _row_groups(n, None), nearest
-    ):
-        cols[rows], sq[rows] = near, near_sq
+    _map_row_blocks(dists, _row_groups(n, None), nearest)
     weights = np.exp(-sq / (2.0 * width**2))
     total = weights.sum(axis=1)
     vanished = total <= 0.0
@@ -788,28 +779,36 @@ def laplacian(graph):
     return W, L
 
 
-def sparse_laplacian(graph):
-    """Laplacian of :func:`laplacian` as a ``csr_array``, straight from the graph's rows.
-
-    ``W = (S + S.T) / 2`` stays sparse, so ``L = diag(W @ 1) - W`` stores
-    only the diagonal and the graph's symmetrized edges (about ``2 n k``
-    entries) and never forms an ``n x n`` array.  Entries equal those of the
-    dense Laplacian up to the rounding of the degree sums.
-    """
-    W = graph.rows + graph.rows.T
-    W.data /= 2.0
-    return scipy.sparse.diags_array(graph.degree, format="csr") - W
-
-
 def row_laplacian(graph):
-    """``D - S`` as a ``csr_array``: the graph's rows under the degrees of :func:`sparse_laplacian`.
+    """``D - S`` as a ``csr_array``, the one operator the solver reads a graph through.
 
-    ``D`` holds the degrees of ``W = (S + S.T) / 2``, so the symmetric part
-    ``((D - S) + (D - S).T) / 2`` is the Laplacian ``D - W``.  It stores
-    only the diagonal and the graph's rows, about 60% of the Laplacian's
-    entries, and is what the projection step multiplies by.
+    ``D`` holds the degrees of ``W = (S + S.T) / 2``, the row plus column
+    sums of ``S`` halved, so the symmetric part ``((D - S) + (D - S).T) / 2``
+    is the Laplacian ``D - W`` (:func:`sparse_laplacian`), and
+    ``tr(Y.T (D - S) Y) = tr(Y.T L Y)`` for any ``Y``.  It stores only the
+    diagonal and the graph's rows, about 60% of the Laplacian's entries.
     """
-    return scipy.sparse.diags_array(graph.degree, format="csr") - graph.rows
+    S = graph.rows
+    degree = (S.sum(axis=1) + S.sum(axis=0)) / 2.0
+    return scipy.sparse.diags_array(degree, format="csr") - S
+
+
+def sparse_laplacian(graph):
+    """Laplacian of :func:`laplacian` as a ``csr_array``: the symmetric part of :func:`row_laplacian`.
+
+    ``L = diag(W @ 1) - W`` with ``W = (S + S.T) / 2`` stores only the
+    diagonal and the graph's symmetrized edges (about ``2 n k`` entries) and
+    never forms an ``n x n`` array.  Entries equal those of the dense
+    Laplacian up to the rounding of the degree sums.
+    """
+    return _symmetric_part(row_laplacian(graph))
+
+
+def _symmetric_part(R):
+    """``(R + R.T) / 2`` of a sparse ``R`` as a ``csr_array``."""
+    L = R + R.T
+    L.data /= 2.0
+    return L
 
 
 def quadratic_charge(A, graph):
@@ -824,7 +823,8 @@ def quadratic_charge(A, graph):
     flat edge arrays.  Every edge is charged under a :class:`RowBlockCost`
     or the graph's own multipliers; under a dense cost only the edges with
     a finite cost are.  Raises :class:`ArgumentError` when ``A`` is ``None``
-    and the graph carries no multipliers.
+    and the graph carries no multipliers, or when a dense ``A`` holds a NaN
+    or ``-inf``.
     """
     labels = graph.source_labels
     if A is not None:

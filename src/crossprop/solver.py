@@ -44,16 +44,21 @@ Each outer iteration alternates three exact subproblem solutions:
    samples with no path to a clamped sample keep all-zero soft labels
    (:mod:`crossprop.propagation`); :class:`FitState` counts them.
 
+Each graph's ``D - S`` is built once: the propagation step solves with its
+symmetric part ``L`` and scales by ``||L||_F``, the objective reads its
+graph energies from it, and the next projection step multiplies by it.
+
 The monitored objective is
 
     tr(P.T X M X.T P)
     + alpha * (tr(P.T X L X.T P) + ||Lambda^(1/2) S||_F^2 / 2)
     + beta * tr(F.T L F) + gamma * ||P||_F^2,
 
-with ``L`` built from the symmetrized affinity ``(S + S.T) / 2``.  Under
-this convention each graph-energy trace equals half the row-wise sums the
-graph step optimizes, so the multiplier term carries the matching factor
-one half; with the multipliers ``Lambda`` treated as the iteration's fixed
+with ``L`` built from the symmetrized affinity ``(S + S.T) / 2``; each
+trace ``tr(Y.T L Y)`` equals ``tr(Y.T (D - S) Y)``.  Under this convention
+each graph-energy trace equals half the row-wise sums the graph step
+optimizes, so the multiplier term carries the matching factor one half;
+with the multipliers ``Lambda`` treated as the iteration's fixed
 parameters, every one of the three updates is then an exact minimizer of
 the same function and the objective cannot increase within an iteration.
 :func:`objective` charges a self-learned graph's own ``Lambda``, so the
@@ -79,13 +84,13 @@ from .data import Dataset, HyperParams, accuracy, one_hot
 from .exceptions import ConfigError, DimensionError
 from .graph import (
     RowBlockCost,
+    _symmetric_part,
     build_graph,
     cost_space,
     gaussian_knn_graph,
     init_graph,
     quadratic_charge,
     row_laplacian,
-    sparse_laplacian,
 )
 from .linalg import block_rows, cholesky_factor
 from .mmd import discrepancy_factor
@@ -254,17 +259,6 @@ def solve_projection(X, M, L, alpha, gamma, d, factor=None):
     return inverse @ U
 
 
-def _edge_energy(graph, Y):
-    """``sum_ij S[i, j] * ||Y[i] - Y[j]||^2`` from one sparse product with ``S``.
-
-    The square expands to ``2 (d . q - <Y, S Y>)``, with the graph's
-    ``degree`` ``d`` and ``q[i] = ||Y[i]||^2``, so no edge's endpoints are
-    gathered.
-    """
-    q = np.einsum("ij,ij->i", Y, Y)
-    return 2.0 * float(graph.degree @ q - np.einsum("ij,ij->", Y, graph.rows @ Y))
-
-
 def _graph_scale(L):
     """Frobenius norm of a sparse Laplacian's stored values, or one for an empty graph."""
     scale = np.linalg.norm(L.data)
@@ -286,8 +280,7 @@ def objective(
     """Joint objective value at the given state (see module docstring).
 
     ``M`` is the dense ``(n, n)`` discrepancy matrix or its ``(n, r)``
-    factor (``r < n``), as for :func:`solve_projection`; the graph enters
-    only through its rows, so no Laplacian is needed.
+    factor (``r < n``), as for :func:`solve_projection`.
     ``graph_scale`` divides the graph-coupled terms; the fit loop passes the
     Frobenius norm of the iteration's Laplacian so the monitored value
     matches the normalized Laplacian the projection step saw.  The row
@@ -299,26 +292,29 @@ def objective(
     computed at the evaluation point from
     ``RowBlockCost(cost_space(P.T @ X, F, beta))``, one block of rows at a
     time, so no ``n x n`` array is built; a structured graph's class sets
-    come from its ``source_labels``.  The graph and label energies each
-    take one sparse product with the graph's rows.
+    come from its ``source_labels``.  The graph and label energies
+    ``tr(Y.T L Y)`` are each read as ``tr(Y.T (D - S) Y)``, one sparse
+    product with :func:`crossprop.graph.row_laplacian`.
     """
-    return _objective(P, P.T @ X, graph, F, M, alpha, beta, gamma, graph_scale, cost_matrix)
+    R = row_laplacian(graph)
+    return _objective(P, P.T @ X, graph, R, F, M, alpha, beta, gamma, graph_scale, cost_matrix)
 
 
-def _objective(P, Z, graph, F, M, alpha, beta, gamma, graph_scale, cost_matrix=None):
-    """:func:`objective` with the projected samples ``Z = P.T @ X`` given."""
-    graph_energy = _edge_energy(graph, Z.T)
-    label_energy = 0.0
-    if F is not None:
-        label_energy = _edge_energy(graph, np.asarray(F, dtype=float))
+def _energy(R, Y):
+    """``tr(Y.T R Y)``, which is ``tr(Y.T L Y)`` for ``R = D - S``."""
+    return float(np.einsum("ij,ij->", Y, R @ Y))
+
+
+def _objective(P, Z, graph, R, F, M, alpha, beta, gamma, graph_scale, cost_matrix=None):
+    """:func:`objective` with ``Z = P.T @ X`` and ``R = row_laplacian(graph)`` given."""
+    label_energy = 0.0 if F is None else _energy(R, np.asarray(F, dtype=float))
     if cost_matrix is None and graph.multipliers is None:
         cost_matrix = RowBlockCost(cost_space(Z, F, beta))
     charge = quadratic_charge(cost_matrix, graph)
     discrepancy = float(np.trace(_discrepancy_form(Z, M)))
     return (
         discrepancy
-        + (alpha * (graph_energy + charge) / 2.0 + beta * label_energy / 2.0)
-        / graph_scale
+        + (alpha * (_energy(R, Z.T) + charge / 2.0) + beta * label_energy) / graph_scale
         + gamma * float(np.sum(P * P))
     )
 
@@ -354,18 +350,21 @@ def _validate(dataset, params):
 
 
 def _propagate(graph, clamp, known):
-    """Propagation step on ``graph``: ``(scale, F, target_labels)``.
+    """Propagation step on ``graph``: ``(R, scale, F, target_labels)``.
 
     ``clamp`` holds the one-hot rows of the labeled samples, source first,
-    and ``known`` the labels of the labeled target prefix.  ``scale`` is the
-    Frobenius norm of the graph's Laplacian, ``F`` stacks ``clamp`` on the
-    harmonic soft labels of the free rows, and ``target_labels`` is
+    and ``known`` the labels of the labeled target prefix.  ``R`` is the
+    graph's ``D - S`` (:func:`crossprop.graph.row_laplacian`), built once;
+    its symmetric part is the Laplacian that the harmonic solve reads and
+    ``scale``, its Frobenius norm, is taken from.  ``F`` stacks ``clamp`` on
+    the harmonic soft labels of the free rows, and ``target_labels`` is
     ``known`` followed by the free rows' argmax.
     """
-    L = sparse_laplacian(graph)
+    R = row_laplacian(graph)
+    L = _symmetric_part(R)
     F_free = harmonic_solve(L, clamp)
     labels = np.concatenate([known, decide_labels(F_free)])
-    return _graph_scale(L), np.vstack([clamp, F_free]), labels
+    return R, _graph_scale(L), np.vstack([clamp, F_free]), labels
 
 
 def fit(dataset, params=None, log_sink=None, on_iteration=None):
@@ -406,7 +405,7 @@ def fit(dataset, params=None, log_sink=None, on_iteration=None):
         graph = gaussian_knn_graph(X, params.k)
     else:
         graph = init_graph(X, params.k, params.delta, split)
-    scale, F, labels = _propagate(graph, clamp, known)
+    R, scale, F, labels = _propagate(graph, clamp, known)
 
     report = FitReport(
         target_labels=labels,
@@ -420,14 +419,14 @@ def fit(dataset, params=None, log_sink=None, on_iteration=None):
     prev_objective = None
     for t in range(1, params.iterations + 1):
         M = discrepancy_factor(y_s, labels, dataset.n_classes)
-        graph_term = None if params.ablation == "sp" else row_laplacian(graph)
         del graph  # not read below; dropped before the projection and graph step
         # alpha / scale weighs the Laplacian divided by its Frobenius norm;
         # without a graph term alpha is never read.
+        graph_term = None if params.ablation == "sp" else R
         P = solve_projection(
             X, M, graph_term, params.alpha / scale, params.gamma, d, factor
         )
-        del graph_term  # not held through the graph step
+        del R, graph_term  # not held through the graph step
         Z = P.T @ X
         if params.ablation == "sp":
             graph = gaussian_knn_graph(Z, params.k)
@@ -436,11 +435,11 @@ def fit(dataset, params=None, log_sink=None, on_iteration=None):
             graph = build_graph(cost, params.k, params.delta, split)
             del cost  # not held past its graph step
         previous = labels
-        scale, F, labels = _propagate(graph, clamp, known)
+        R, scale, F, labels = _propagate(graph, clamp, known)
         change = float(np.mean(labels[unlabeled] != previous[unlabeled]))
 
         value = _objective(
-            P, Z, graph, F, M, params.alpha, cost_beta, params.gamma, scale
+            P, Z, graph, R, F, M, params.alpha, cost_beta, params.gamma, scale
         )
 
         report.iterations = t

@@ -16,6 +16,7 @@ import scipy.sparse
 from hypothesis import given, settings
 
 import crossprop as cp
+import crossprop.graph
 import crossprop.solver
 from crossprop.solver import ABLATIONS, _graph_scale, centered_gram, factor_scatter
 from crossprop.solver import objective, solve_projection
@@ -159,6 +160,33 @@ def test_fit_computes_the_scatter_once(monkeypatch, ablation):
     report = cp.fit(ds, cp.HyperParams(k=5, d=3, iterations=3, ablation=ablation))
     assert report.iterations >= 2
     assert len(calls) == 1 and calls[0] is ds.features
+
+
+@pytest.mark.parametrize("ablation", ["full", "sp"])
+def test_fit_reads_each_graph_through_one_row_laplacian(monkeypatch, ablation):
+    built = []
+    row_laplacian = crossprop.solver.row_laplacian
+
+    def counted(graph):
+        built.append(graph)
+        return row_laplacian(graph)
+
+    def refuse(graph):
+        raise AssertionError("fit built a second operator for a graph")
+
+    monkeypatch.setattr(crossprop.solver, "row_laplacian", counted)
+    monkeypatch.setattr(crossprop.graph, "sparse_laplacian", refuse)
+    monkeypatch.setattr(crossprop.solver, "sparse_laplacian", refuse, raising=False)
+    ds = cp.gen_synthetic_shift(
+        0, per_class=40, n_classes=3, rotation_deg=35.0, shift=(2.0, 1.0)
+    )
+    states = []
+    params = cp.HyperParams(k=5, d=3, iterations=3, ablation=ablation)
+    report = cp.fit(ds, params, on_iteration=states.append)
+    assert report.iterations >= 2
+    # The initial graph, then each iteration's graph, once each.
+    assert len(built) == report.iterations + 1
+    assert all(graph is state.graph for graph, state in zip(built[1:], states))
 
 
 def test_a_passed_scatter_equals_the_computed_one(rng):

@@ -381,6 +381,20 @@ def test_gaussian_graph_rejects_a_nan_coordinate():
         cp.gaussian_knn_graph(np.array([[0.0, 1.0, np.nan, 3.0, 4.0]]), 2)
 
 
+@pytest.mark.parametrize("bad", [np.nan, -np.inf])
+def test_a_dense_cost_with_nan_or_minus_inf_is_rejected(rng, bad):
+    # A NaN cost silently dropped its column from row 0, whose weights
+    # still summed to one, and its edge from the charge.  +inf still
+    # excludes a candidate, as on the diagonal.
+    A = cp.affinity_cost(rng.standard_normal((2, 8)), None, 0.0)
+    graph = cp.build_graph(A, 3, 0.8, None)
+    A[0, 3] = bad
+    with pytest.raises(ArgumentError, match="NaN or -inf"):
+        cp.build_graph(A, 3, 0.8, None)
+    with pytest.raises(ArgumentError, match="NaN or -inf"):
+        quadratic_charge(A, graph)
+
+
 class TestLaplacian:
     def test_symmetric_input_passes_through(self, rng):
         S = rng.random((5, 5))

@@ -64,8 +64,14 @@ def test_row_laplacian_has_the_laplacian_as_its_symmetric_part(rng):
         H = cp.row_laplacian(graph)
         L = cp.sparse_laplacian(graph)
         assert isinstance(H, scipy.sparse.csr_array)
-        assert np.max(np.abs((H + H.T).toarray() / 2.0 - L.toarray())) <= 1e-15
+        npt.assert_array_equal((H + H.T).toarray() / 2.0, L.toarray())
         assert H.nnz < L.nnz
+        # The same bits as diag(d) - W built from W = (S + S.T) / 2.
+        S = graph.rows
+        W = S + S.T
+        W.data /= 2.0
+        degree = (S.sum(axis=1) + S.sum(axis=0)) / 2.0
+        npt.assert_array_equal(L.toarray(), (scipy.sparse.diags_array(degree) - W).toarray())
 
 
 def shifted_dataset(**kwargs):

@@ -9,6 +9,7 @@ can run the graph step again.
 """
 
 import multiprocessing
+import sys
 import threading
 
 import numpy as np
@@ -104,6 +105,30 @@ def test_knn_graph_and_nearest_neighbor_are_bit_identical_across_worker_counts(
     for graph, prediction in zip(graphs, predictions):
         assert_same_csr(graph, graphs[0])
         np.testing.assert_array_equal(prediction, predictions[0], strict=True)
+
+
+def test_row_writes_hold_under_frequent_thread_switches(monkeypatch):
+    # Each row block writes its own rows of the outputs the workers share;
+    # a lost or misplaced write would leave rows of uninitialized memory.
+    Z, _, labels = problem()
+    train, test = Z[:, :N_SOURCE], Z[:, N_SOURCE:]
+    with monkeypatch.context() as mp:
+        workers(mp, 1)
+        graph = cp.gaussian_knn_graph(Z, 5).rows
+        prediction = cp.nearest_neighbor(train, labels, test)
+    workers(monkeypatch, 4)
+    opened = pools(monkeypatch)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(20):
+            assert_same_csr(cp.gaussian_knn_graph(Z, 5).rows, graph)
+            np.testing.assert_array_equal(
+                cp.nearest_neighbor(train, labels, test), prediction, strict=True
+            )
+    finally:
+        sys.setswitchinterval(interval)
+    assert opened == [1] * 40
 
 
 def test_no_pass_runs_on_more_workers_than_it_is_cut_for(monkeypatch):
