@@ -28,7 +28,6 @@ from .exceptions import (
     ParseError,
     ShapeError,
     SingularMatrix,
-    SingularPencil,
 )
 from .graph import (
     AffinityGraph,
@@ -43,7 +42,7 @@ from .graph import (
     sparse_laplacian,
     write_edges,
 )
-from .linalg import EigenPair, pairwise_sq_dists, solve_spd_linear, solve_sym_definite_geig
+from .linalg import pairwise_sq_dists, solve_spd_linear
 from .mmd import (
     conditional_mmd,
     discrepancy_factor,
@@ -63,7 +62,6 @@ __all__ = [
     "CrosspropError",
     "Dataset",
     "DimensionError",
-    "EigenPair",
     "FitReport",
     "FitState",
     "HyperParams",
@@ -72,7 +70,6 @@ __all__ = [
     "RowBlockCost",
     "ShapeError",
     "SingularMatrix",
-    "SingularPencil",
     "accuracy",
     "affinity_cost",
     "build_graph",
@@ -98,7 +95,6 @@ __all__ = [
     "simplex_qp_oracle",
     "solve_projection",
     "solve_spd_linear",
-    "solve_sym_definite_geig",
     "sparse_laplacian",
     "with_labeled_targets",
     "write_edges",

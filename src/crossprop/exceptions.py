@@ -38,9 +38,5 @@ class SingularMatrix(CrosspropError):
     """A nominally positive definite matrix could not be factorized."""
 
 
-class SingularPencil(CrosspropError):
-    """The right-hand matrix of a definite matrix pencil is beyond repair."""
-
-
 class ConvergenceError(CrosspropError):
     """An iterative solver exhausted its iteration budget."""

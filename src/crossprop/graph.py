@@ -603,7 +603,7 @@ def _graph_step(A, k, delta, labels, build=True):
     the pass, ``min(k, size)`` per row and column set, which no selection
     exceeds, so a block allocates nothing that outlives it: it writes its
     rows' multipliers and row-sorted positive edges in place.  Rows left
-    with empty slots close up after the pass.
+    with empty slots close up after the pass, into new arrays.
 
     Returns
     -------
@@ -664,8 +664,8 @@ def _graph_step(A, k, delta, labels, build=True):
     nnz = indptr[-1]
     if nnz < slots[-1]:
         at = np.repeat(slots[:-1] - indptr[:-1], np.diff(indptr)) + np.arange(nnz)
-        indices[:nnz], data[:nnz] = indices[at], data[at]
-    return lam, scipy.sparse.csr_array((data[:nnz], indices[:nnz], indptr), shape=A.shape)
+        indices, data = indices[at], data[at]
+    return lam, scipy.sparse.csr_array((data, indices, indptr), shape=A.shape)
 
 
 def build_graph(A, k, delta, source_labels):

@@ -14,18 +14,16 @@ while still handling rank-deficient inputs deterministically.  The
 projection step factors its scatter matrix with it once per fit and solves a
 standard symmetric eigenproblem in the whitened coordinates
 (:func:`crossprop.solver.factor_scatter`), so a rank-deficient scatter is
-repaired once per fit; :func:`solve_sym_definite_geig` is the generalized
-eigensolver that reduction is checked against.  The graph Laplacian's
+repaired once per fit; the tests check that reduction against LAPACK's
+generalized eigensolver, ``scipy.linalg.eigh(A, B)``.  The graph Laplacian's
 free-free block is not solved here: :mod:`crossprop.propagation` solves it by
 Jacobi-preconditioned conjugate gradients, so no ridge touches it.
 """
 
-from typing import NamedTuple
-
 import numpy as np
 import scipy.linalg
 
-from .exceptions import DimensionError, SingularMatrix, SingularPencil
+from .exceptions import SingularMatrix
 
 RIDGE_EPS = 1e-6
 
@@ -46,13 +44,6 @@ held 1.1-1.6 blocks on one core and 2.1-2.2 on two or four, where a step that ga
 its own ``np.argpartition`` index array held 3.1.  That working set can set
 a fit's peak memory.
 """
-
-
-class EigenPair(NamedTuple):
-    """Eigenvalues (ascending) and matching eigenvector columns."""
-
-    values: np.ndarray
-    vectors: np.ndarray
 
 
 def pairwise_sq_dists(Z):
@@ -207,58 +198,3 @@ def solve_spd_linear(A, B):
     A = np.asarray(A, dtype=float)
     B = np.asarray(B, dtype=float)
     return scipy.linalg.cho_solve((cholesky_factor((A + A.T) / 2.0), False), B)
-
-
-def solve_sym_definite_geig(A, B, d):
-    """Smallest ``d`` eigenpairs of the definite pencil ``A v = lam B v``.
-
-    ``A`` is symmetric and ``B`` symmetric positive definite (possibly only
-    semi-definite numerically, in which case the ridge repair is applied).
-    The pencil is reduced through a triangular factorization of ``B`` to a
-    standard symmetric problem, which is what LAPACK's ``sygvx`` family does
-    under :func:`scipy.linalg.eigh`.
-
-    Parameters
-    ----------
-    A : ndarray of shape (k, k)
-        Symmetric left-hand matrix.  Symmetrized defensively on entry.
-    B : ndarray of shape (k, k)
-        Symmetric positive definite right-hand matrix.
-    d : int
-        Number of smallest eigenpairs requested, ``1 <= d <= k``.
-
-    Returns
-    -------
-    pair : EigenPair
-        ``pair.values`` ascending, shape ``(d,)``; ``pair.vectors`` of shape
-        ``(k, d)`` with ``vectors.T @ B @ vectors = I_d`` up to 1e-6.
-
-    Raises
-    ------
-    DimensionError
-        If ``d`` is out of range.
-    SingularPencil
-        If ``B`` contains non-finite entries or cannot be factorized even
-        after the ridge repair.
-    """
-    A = np.asarray(A, dtype=float)
-    B = np.asarray(B, dtype=float)
-    k = A.shape[0]
-    if not (1 <= d <= k):
-        raise DimensionError(f"requested {d} eigenpairs from a {k}x{k} pencil")
-    if not (np.all(np.isfinite(A)) and np.all(np.isfinite(B))):
-        raise SingularPencil("pencil contains non-finite entries")
-    A = (A + A.T) / 2.0
-    B = (B + B.T) / 2.0
-    try:
-        values, vectors = scipy.linalg.eigh(A, B, subset_by_index=(0, d - 1))
-    except (scipy.linalg.LinAlgError, ValueError):
-        try:
-            values, vectors = scipy.linalg.eigh(
-                A, _trace_ridge(B), subset_by_index=(0, d - 1)
-            )
-        except (scipy.linalg.LinAlgError, ValueError) as exc:
-            raise SingularPencil(
-                "right-hand matrix is not definite even after ridge repair"
-            ) from exc
-    return EigenPair(values, vectors)

@@ -395,6 +395,21 @@ def test_a_dense_cost_with_nan_or_minus_inf_is_rejected(rng, bad):
         quadratic_charge(A, graph)
 
 
+def test_a_closed_up_graph_holds_only_its_own_edges():
+    # Row 0 has one finite candidate for its k = 3 slots, so the step
+    # closes up after the pass.
+    A = cp.affinity_cost(np.arange(8.0)[None, :], None, 0.0)
+    A[0, 2:] = np.inf
+    rows = cp.build_graph(A, 3, 0.8, None).rows
+    assert rows.nnz < 3 * 8
+    npt.assert_array_equal(rows.indices[: rows.indptr[1]], [1])
+    for array in (rows.data, rows.indices):
+        owner = array
+        while isinstance(owner.base, np.ndarray):
+            owner = owner.base
+        assert owner.size == rows.nnz
+
+
 class TestLaplacian:
     def test_symmetric_input_passes_through(self, rng):
         S = rng.random((5, 5))

@@ -4,8 +4,8 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from crossprop import EigenPair, pairwise_sq_dists, solve_spd_linear, solve_sym_definite_geig
-from crossprop.exceptions import DimensionError, SingularMatrix, SingularPencil
+from crossprop import pairwise_sq_dists, solve_spd_linear
+from crossprop.exceptions import SingularMatrix
 
 from conftest import naive_pairwise_sq
 
@@ -68,80 +68,3 @@ class TestSolveSpdLinear:
         A[0, 1] = np.nan
         with pytest.raises(SingularMatrix):
             solve_spd_linear(A, np.ones(2))
-
-
-class TestSolveSymDefiniteGeig:
-    def test_diagonal_pencil(self):
-        pair = solve_sym_definite_geig(np.diag([3.0, 1.0, 2.0]), np.eye(3), 2)
-        npt.assert_allclose(pair.values, [1.0, 2.0])
-        # Eigenvectors are the matching unit basis vectors up to sign.
-        npt.assert_allclose(np.abs(pair.vectors), [[0, 0], [1, 0], [0, 1]], atol=1e-12)
-
-    def test_identical_pencil_gives_unit_eigenvalues(self, rng):
-        A = rng.standard_normal((5, 5))
-        A = A @ A.T + 5.0 * np.eye(5)
-        pair = solve_sym_definite_geig(A, A, 3)
-        npt.assert_allclose(pair.values, np.ones(3), atol=1e-10)
-
-    def test_residual_per_pair(self, rng):
-        A = rng.standard_normal((10, 10))
-        A = (A + A.T) / 2.0
-        B = rng.standard_normal((10, 10))
-        B = B @ B.T + 10.0 * np.eye(10)
-        pair = solve_sym_definite_geig(A, B, 4)
-        for lam, v in zip(pair.values, pair.vectors.T):
-            residual = np.linalg.norm(A @ v - lam * (B @ v))
-            assert residual <= 1e-6 * np.linalg.norm(A)
-
-    def test_b_orthonormal_vectors(self, rng):
-        A = rng.standard_normal((8, 8))
-        A = (A + A.T) / 2.0
-        B = rng.standard_normal((8, 8))
-        B = B @ B.T + 8.0 * np.eye(8)
-        pair = solve_sym_definite_geig(A, B, 5)
-        gram = pair.vectors.T @ B @ pair.vectors
-        assert np.max(np.abs(gram - np.eye(5))) <= 1e-6
-
-    def test_values_ascending(self, rng):
-        A = rng.standard_normal((9, 9))
-        A = (A + A.T) / 2.0
-        B = np.eye(9)
-        pair = solve_sym_definite_geig(A, B, 9)
-        assert np.all(np.diff(pair.values) >= -1e-12)
-
-    def test_shift_invariance(self, rng):
-        # Adding c*B to A shifts every eigenvalue by exactly c.
-        A = rng.standard_normal((7, 7))
-        A = (A + A.T) / 2.0
-        B = rng.standard_normal((7, 7))
-        B = B @ B.T + 7.0 * np.eye(7)
-        c = 2.75
-        base = solve_sym_definite_geig(A, B, 4)
-        shifted = solve_sym_definite_geig(A + c * B, B, 4)
-        npt.assert_allclose(shifted.values, base.values + c, atol=1e-8)
-
-    def test_dimension_out_of_range(self):
-        with pytest.raises(DimensionError):
-            solve_sym_definite_geig(np.eye(3), np.eye(3), 4)
-        with pytest.raises(DimensionError):
-            solve_sym_definite_geig(np.eye(3), np.eye(3), 0)
-
-    def test_non_finite_pencil_raises(self):
-        B = np.eye(3)
-        B[1, 1] = np.inf
-        with pytest.raises(SingularPencil):
-            solve_sym_definite_geig(np.eye(3), B, 1)
-
-    def test_semidefinite_right_matrix_is_repaired(self, rng):
-        # Rank-deficient B: the ridge retry must produce finite pairs.
-        V = rng.standard_normal((6, 3))
-        B = V @ V.T
-        A = np.eye(6)
-        pair = solve_sym_definite_geig(A, B, 2)
-        assert np.all(np.isfinite(pair.values))
-        assert np.all(np.isfinite(pair.vectors))
-
-    def test_returns_eigenpair_tuple(self):
-        pair = solve_sym_definite_geig(np.eye(2), np.eye(2), 1)
-        assert isinstance(pair, EigenPair)
-        assert pair.vectors.shape == (2, 1)

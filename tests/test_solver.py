@@ -8,7 +8,7 @@ import pytest
 import scipy.linalg
 
 import crossprop as cp
-from crossprop.exceptions import ConfigError
+from crossprop.exceptions import ConfigError, DimensionError
 from crossprop.graph import quadratic_charge
 from crossprop.linalg import pairwise_sq_dists
 from crossprop.solver import ABLATIONS, centered_gram, objective, solve_projection
@@ -92,6 +92,13 @@ class TestSolveProjection:
             R = scipy.linalg.cholesky(Q.T @ B @ Q)
             Q = Q @ np.linalg.inv(R)
             assert float(np.trace(Q.T @ A @ Q)) >= best - 1e-9
+
+    @pytest.mark.parametrize("d", [0, 6])
+    def test_a_dimension_outside_one_to_m_is_rejected(self, rng, d):
+        # fit's own checks raise ConfigError first; a direct caller reaches this one.
+        X = rng.standard_normal((5, 12))
+        with pytest.raises(DimensionError, match=f"requested {d} projection directions in 5"):
+            solve_projection(X, np.eye(12), None, alpha=1.0, gamma=0.1, d=d)
 
 
 class TestObjective:

@@ -2,8 +2,9 @@
 
 ``solve_projection`` whitens with the per-fit factor ``B = R.T R`` of the
 total scatter and adds the graph term as a rank-2k update from the rows of
-``D - S``.  Each test checks it against the generalized eigensolver it
-replaces, or checks what a fit factors, repairs and leaves untouched.
+``D - S``.  Each test checks it against LAPACK's generalized eigensolver,
+``scipy.linalg.eigh(A, B)``, or checks what a fit factors, repairs and leaves
+untouched.
 """
 
 import numpy as np
@@ -53,7 +54,7 @@ def test_matches_the_generalized_eigensolver(graph_term, m, n):
         L = laplacian if graph_term == "dense" else cp.row_laplacian(graph)
     B = centered_gram(X)
     P = solve_projection(X, E, L, alpha, gamma, d)
-    reference = cp.solve_sym_definite_geig(A, B, d).vectors
+    _, reference = scipy.linalg.eigh(A, B, subset_by_index=(0, d - 1))
     gap = subspace_projector(P) - subspace_projector(reference)
     assert np.max(np.abs(gap)) <= 1e-8
     assert np.max(np.abs(P.T @ B @ P - np.eye(d))) <= 1e-10
