@@ -11,11 +11,12 @@ attempts a plain Cholesky and, only when that fails, retries once after
 adding a trace-scaled ridge ``eps * (trace(A)/k) * I``.  Repairing on demand
 keeps the residual guarantees of the common well-conditioned case intact
 while still handling rank-deficient inputs deterministically.  The
-projection step factors its scatter matrix with it once per fit and solves a
-standard symmetric eigenproblem in the whitened coordinates
-(:func:`crossprop.solver.factor_scatter`), so a rank-deficient scatter is
-repaired once per fit; the tests check that reduction against LAPACK's
-generalized eigensolver, ``scipy.linalg.eigh(A, B)``.  The graph Laplacian's
+projection step factors its scatter matrix with it once per fit
+(:func:`crossprop.solver.factor_scatter`) and reduces each iteration's
+pencil to a standard symmetric eigenproblem through that factor, so a
+rank-deficient scatter is repaired once per fit; the tests check that
+reduction against LAPACK's generalized eigensolver,
+``scipy.linalg.eigh(A, B)``.  The graph Laplacian's
 free-free block is not solved here: :mod:`crossprop.propagation` solves it by
 Jacobi-preconditioned conjugate gradients, so no ridge touches it.
 """

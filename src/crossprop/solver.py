@@ -13,16 +13,18 @@ Each outer iteration alternates three exact subproblem solutions:
    where ``H`` is the centering matrix, so ``P.T X H X.T P = I`` keeps the
    projected total scatter fixed.  The scatter ``B = X H X.T`` is the same
    in every iteration, so :func:`factor_scatter` factors it once per fit,
-   ``B = R.T R``, and keeps ``R^-1`` and the whitened samples
-   ``Y = R^-T X``; each iteration then solves the standard symmetric
-   eigenproblem of ``Y M Y.T + alpha * Y L Y.T + gamma * R^-T R^-1`` and
-   maps its eigenvectors back, ``P = R^-1 U``.  The fit never forms an
-   ``n x n`` ``M`` or ``L``: ``M = E E.T`` enters through its ``n x r``
-   factor ``E`` (``r <= C + 1``, :func:`crossprop.mmd.discrepancy_factor`),
-   so ``Y M Y.T = (Y E)(Y E).T``; the graph enters through the rows of
+   ``B = R.T R``, and ``R`` is all the fit keeps of it.  Each iteration
+   builds the upper triangle of ``K = X M X.T + alpha * X L X.T + gamma * I``
+   from ``X`` itself, reduces it to the standard symmetric eigenproblem of
+   ``R^-T K R^-1`` with one ``dsygst``, and solves its eigenvectors back,
+   ``P = R^-1 U``, as LAPACK's ``dsygvx`` does (Golub & Van Loan, *Matrix
+   Computations*, section 8.7).  The fit never forms an ``n x n`` ``M`` or
+   ``L``: ``M = E E.T`` enters through its ``n x r`` factor ``E``
+   (``r <= C + 1``, :func:`crossprop.mmd.discrepancy_factor`), so
+   ``X M X.T = (X E)(X E).T``; the graph enters through the rows of
    ``D - S`` (:func:`crossprop.graph.row_laplacian`, about ``n k``
    entries), whose symmetric part is ``L``, as the rank-2k update
-   ``Y L Y.T = 1/2 (Y (D - S) Y.T + its transpose)``, one ``dsyr2k`` per
+   ``X L X.T = 1/2 (X (D - S) X.T + its transpose)``, one ``dsyr2k`` per
    row block.  :func:`solve_projection` also accepts a dense ``M`` and a
    dense ``L``.
 
@@ -75,7 +77,6 @@ below ``1e-5``.
 
 import numbers
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg
@@ -163,47 +164,28 @@ def _discrepancy_form(Y, M):
     return YE @ YE.T
 
 
-class ScatterFactor(NamedTuple):
-    """The total scatter ``X H X.T = R.T @ R``, factored once per fit.
-
-    ``inverse`` is ``R^-1``, upper triangular and Fortran-ordered;
-    ``whitened`` is ``X.T @ R^-1`` of shape ``(n, m)``, the samples in the
-    whitened coordinates ``Y = R^-T X`` as rows.
-    """
-
-    inverse: np.ndarray
-    whitened: np.ndarray
-
-
 def factor_scatter(X):
-    """:class:`ScatterFactor` of ``centered_gram(X)``; ``X`` is only read.
+    """Upper Cholesky factor ``R`` of ``centered_gram(X) = R.T @ R``; ``X`` is only read.
 
     The scatter is factored by :func:`crossprop.linalg.cholesky_factor`, so
-    a rank-deficient one is ridge-repaired here, once, and freed afterwards.
-    ``R^-1`` overwrites ``R``, and one ``dtrmm`` writes ``R^-T X`` into a
-    new Fortran-ordered array, whose transpose is the C-ordered
-    ``whitened``.
+    a rank-deficient one is ridge-repaired here, once.  ``R`` is
+    Fortran-ordered and its strict lower triangle is zero.
     """
-    inverse, _ = scipy.linalg.lapack.dtrtri(
-        cholesky_factor(centered_gram(X)), overwrite_c=1
-    )
-    whitened = scipy.linalg.blas.dtrmm(1.0, inverse, X, trans_a=1).T
-    return ScatterFactor(inverse, whitened)
+    return cholesky_factor(centered_gram(X))
 
 
 def solve_projection(X, M, L, alpha, gamma, d, factor=None):
-    """Projection matrix from the eigenproblem above, solved in whitened coordinates.
+    """Projection matrix from the eigenproblem above, reduced by the scatter's factor.
 
-    With ``B = X H X.T = R.T R`` and ``Y = R^-T X``, the pencil reduces to
-    the standard symmetric eigenproblem of
-
-        Y M Y.T + alpha * Y L Y.T + gamma * R^-T R^-1,
-
-    whose ``d`` smallest eigenvectors ``U`` give ``P = R^-1 U``.  The
-    ``gamma`` term is one ``dsyrk`` of ``R^-1``.  The graph term is
-    ``1/2 * dsyr2k(Y.T, L Y.T)``, accumulated over row blocks of ``L`` of
-    about :data:`crossprop.linalg.BLOCK_BYTES` each, so no ``n x m`` product
-    is held; it reads only the symmetric part ``(L + L.T) / 2`` of ``L``.
+    The upper triangle of ``K = X M X.T + alpha * X L X.T + gamma * I`` is
+    built in input coordinates; with ``B = X H X.T = R.T R``, one
+    ``dsygst`` overwrites it with ``R^-T K R^-1``, whose ``d`` smallest
+    eigenvectors ``U`` give ``P = R^-1 U`` by a triangular solve.  The graph
+    term is ``1/2 * dsyr2k(X, (L X.T).T)``, accumulated over row blocks of
+    ``L`` of about :data:`crossprop.linalg.BLOCK_BYTES` each, so no
+    ``n x m`` product is held; it reads only the symmetric part
+    ``(L + L.T) / 2`` of ``L``.  The blocks read the rows of ``X.T``, a
+    view for a Fortran-ordered ``X``; a C-ordered one is copied once.
 
     Parameters
     ----------
@@ -221,7 +203,7 @@ def solve_projection(X, M, L, alpha, gamma, d, factor=None):
         Graph and ridge regularization weights.
     d : int
         Projected dimension, ``1 <= d <= m``.
-    factor : ScatterFactor, optional
+    factor : ndarray of shape (m, m), optional
         ``factor_scatter(X)``, computed here when not given; :func:`fit`
         computes it once and passes it to every iteration.
 
@@ -230,33 +212,41 @@ def solve_projection(X, M, L, alpha, gamma, d, factor=None):
     P : ndarray of shape (m, d)
         Columns are the ``d`` smallest-eigenvalue generalized eigenvectors,
         normalized so ``P.T @ X H X.T @ P = I``.
+
+    Raises
+    ------
+    DimensionError
+        If ``d`` is outside ``[1, m]`` or ``factor`` is not ``(m, m)``.
     """
     m, n = X.shape
     if not 1 <= d <= m:
         raise DimensionError(f"requested {d} projection directions in {m} dimensions")
     if factor is None:
         factor = factor_scatter(X)
-    inverse, whitened = factor
+    elif factor.shape != (m, m):
+        raise DimensionError(f"scatter factor of shape {factor.shape} for {m} features")
     blas = scipy.linalg.blas
     # Only the upper triangle of ``left`` is updated and read from here on.
-    left = _discrepancy_form(whitened.T, M).T
-    left = blas.dsyrk(gamma, inverse, beta=1.0, c=left, trans=1, overwrite_c=1)
+    left = _discrepancy_form(X, M).T
+    left[np.diag_indices(m)] += gamma
     if L is not None:
+        samples = np.ascontiguousarray(X.T)
         step = block_rows(m)
         for start in range(0, n, step):
             rows = slice(start, start + step)
             left = blas.dsyr2k(
                 alpha / 2.0,
-                whitened[rows].T,
-                (L[rows] @ whitened).T,
+                samples[rows].T,
+                (L[rows] @ samples).T,
                 beta=1.0,
                 c=left,
                 overwrite_c=1,
             )
+    left, _ = scipy.linalg.lapack.dsygst(left, factor, overwrite_a=1)
     _, U = scipy.linalg.eigh(
         left, lower=False, overwrite_a=True, subset_by_index=(0, d - 1)
     )
-    return inverse @ U
+    return blas.dtrsm(1.0, factor, U, overwrite_b=1)
 
 
 def _graph_scale(L):
@@ -389,7 +379,9 @@ def fit(dataset, params=None, log_sink=None, on_iteration=None):
     if params is None:
         params = HyperParams()
     d = _validate(dataset, params)
-    X = dataset.features
+    # Fortran order makes X.T the C-ordered rows the projection step reads,
+    # so a C-ordered dataset is copied here, once per fit.
+    X = np.asfortranarray(dataset.features)
     factor = factor_scatter(X)
     y_s = dataset.source_labels
     known = dataset.labeled_target_labels

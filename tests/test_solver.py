@@ -11,7 +11,13 @@ import crossprop as cp
 from crossprop.exceptions import ConfigError, DimensionError
 from crossprop.graph import quadratic_charge
 from crossprop.linalg import pairwise_sq_dists
-from crossprop.solver import ABLATIONS, centered_gram, objective, solve_projection
+from crossprop.solver import (
+    ABLATIONS,
+    centered_gram,
+    factor_scatter,
+    objective,
+    solve_projection,
+)
 
 from conftest import make_dataset
 
@@ -99,6 +105,12 @@ class TestSolveProjection:
         X = rng.standard_normal((5, 12))
         with pytest.raises(DimensionError, match=f"requested {d} projection directions in 5"):
             solve_projection(X, np.eye(12), None, alpha=1.0, gamma=0.1, d=d)
+
+    def test_a_factor_of_other_features_is_rejected(self, rng):
+        X = rng.standard_normal((6, 40))
+        E = rng.standard_normal((40, 3))
+        with pytest.raises(DimensionError, match=r"scatter factor of shape \(5, 5\) for 6"):
+            solve_projection(X, E, None, 1.0, 0.1, 3, factor_scatter(X[:5]))
 
 
 class TestObjective:

@@ -1,11 +1,14 @@
-"""The projection step factors the scatter once per fit and solves a standard eigenproblem.
+"""The projection step factors the scatter once per fit and keeps only that factor.
 
-``solve_projection`` whitens with the per-fit factor ``B = R.T R`` of the
-total scatter and adds the graph term as a rank-2k update from the rows of
-``D - S``.  Each test checks it against LAPACK's generalized eigensolver,
-``scipy.linalg.eigh(A, B)``, or checks what a fit factors, repairs and leaves
-untouched.
+``solve_projection`` builds its left-hand matrix from ``X`` itself, adds the
+graph term as a rank-2k update from the rows of ``D - S``, and reduces the
+pencil with the per-fit Cholesky factor ``B = R.T R`` of the total scatter.
+Each test checks it against LAPACK's generalized eigensolver,
+``scipy.linalg.eigh(A, B)``, or checks what a fit factors, repairs, holds and
+leaves untouched.
 """
+
+import tracemalloc
 
 import numpy as np
 import numpy.testing as npt
@@ -151,8 +154,47 @@ def test_fit_leaves_the_features_untouched(order):
 
 def test_factor_whitens_the_scatter(rng):
     X = rng.standard_normal((6, 40))
-    inverse, whitened = factor_scatter(X)
-    B = centered_gram(X)
-    npt.assert_array_equal(np.tril(inverse, -1), 0.0)
-    npt.assert_allclose(inverse.T @ B @ inverse, np.eye(6), atol=1e-12)
-    npt.assert_allclose(whitened, X.T @ inverse, rtol=1e-12, atol=1e-12)
+    R = factor_scatter(X)
+    assert R.flags.f_contiguous
+    npt.assert_array_equal(np.tril(R, -1), 0.0)
+    npt.assert_allclose(R.T @ R, centered_gram(X), rtol=1e-12, atol=1e-12)
+
+
+def test_a_fit_holds_less_than_the_features_between_iterations():
+    # Memory still allocated when each iteration reports: the scatter's
+    # factor, the graph, its D - S and the small per-iteration arrays, but
+    # no n x m copy of the samples.
+    ds = cp.gen_synthetic_shift(0, per_class=100, n_classes=4, dim=300)
+    held = []
+    tracemalloc.start()
+    try:
+        cp.fit(ds, on_iteration=lambda state: held.append(tracemalloc.get_traced_memory()[0]))
+    finally:
+        tracemalloc.stop()
+    assert ds.features.shape == (300, 800)
+    assert len(held) >= 2
+    assert max(held) < ds.features.nbytes
+
+
+def test_fits_of_c_and_fortran_ordered_features_agree():
+    ds = shifted_dataset(dim=6)
+    reports = []
+    for order in ("C", "F"):
+        features = np.array(ds.features, order=order)
+        assert features.flags.f_contiguous == (order == "F")
+        copy = cp.Dataset(
+            features=features,
+            n_source=ds.n_source,
+            n_labeled_target=0,
+            n_unlabeled_target=ds.n_unlabeled_target,
+            source_labels=ds.source_labels,
+            n_classes=ds.n_classes,
+        )
+        states = []
+        report = cp.fit(copy, cp.HyperParams(k=5, d=3, iterations=4), on_iteration=states.append)
+        reports.append((report, [state.target_labels for state in states]))
+    (c_report, c_labels), (f_report, f_labels) = reports
+    assert c_report.iterations == f_report.iterations >= 2
+    assert c_report.objective_trace == f_report.objective_trace
+    for c, f in zip(c_labels, f_labels):
+        npt.assert_array_equal(c, f)
