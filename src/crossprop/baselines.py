@@ -35,7 +35,9 @@ def nearest_neighbor(train_features, train_labels, test_features):
         Label of each test sample's nearest training sample; distance ties
         go to the lowest training index.  The test x train distances are
         read a block of test rows at a time, through the graph step's
-        :func:`crossprop.graph._map_row_blocks`.
+        :func:`crossprop.graph._map_row_blocks`, from one
+        :class:`crossprop.graph.RowBlockCost` operand written straight from
+        the two blocks, so train and test are never joined into a copy.
 
     Raises
     ------
@@ -57,7 +59,7 @@ def nearest_neighbor(train_features, train_labels, test_features):
     if train_features.shape[0] != test_features.shape[0]:
         raise ShapeError("train and test features must share the feature dimension")
     p = train_labels.size
-    dists = RowBlockCost(np.hstack([train_features, test_features]))
+    dists = RowBlockCost(train_features, test_features)
     test = np.arange(p, dists.shape[0])
     nearest = np.empty(test.size, dtype=np.intp)
 

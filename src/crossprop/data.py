@@ -29,6 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .exceptions import ArgumentError, LabelError, ParseError, ShapeError
+from .linalg import gather_columns
 
 MATRIX_MAGIC = b"CDGSMAT1"
 CSV_FLOAT_FMT = "%.12g"
@@ -459,27 +460,29 @@ def gen_synthetic_shift(
     means[:, 0] = 4.0 * np.cos(angles)
     means[:, 1] = 4.0 * np.sin(angles)
 
-    def draw_domain():
-        blocks = []
+    n = n_classes * per_class
+    # Each class block is drawn straight into its rows of ``samples``, the
+    # sample-major view of the Fortran-ordered features.
+    features = np.empty((dim, 2 * n), order="F")
+    samples = features.T
+    for domain in (samples[:n], samples[n:]):
         for c in range(n_classes):
-            pts = noise_scale * rng.standard_normal((per_class, dim))
+            pts = domain[c * per_class : (c + 1) * per_class]
+            rng.standard_normal(out=pts)
+            pts *= noise_scale
             pts[:, :2] = rng.standard_normal((per_class, 2))
-            blocks.append(pts + means[c])
-        return np.vstack(blocks)
-
-    source = draw_domain()
-    target = draw_domain()
+            pts += means[c]
+    target = samples[n:]
     theta = np.deg2rad(rotation_deg)
     rot = np.array(
         [[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]]
     )
     target[:, :2] = target[:, :2] @ rot.T
-    target = target + shift
+    target += shift
 
     labels = np.repeat(np.arange(n_classes), per_class)
-    n = n_classes * per_class
     return Dataset(
-        features=np.vstack([source, target]).T,
+        features=features,
         n_source=n,
         n_labeled_target=0,
         n_unlabeled_target=n,
@@ -496,7 +499,8 @@ def with_labeled_targets(dataset, per_class):
     The first ``per_class`` target samples of each class (by ground truth)
     move to the front of the target block and become labeled; the remainder
     stay unlabeled.  Requires ``hidden_target_labels`` and a positive
-    integer ``per_class``.
+    integer ``per_class``.  The reordered features are gathered once into a
+    fresh array that keeps the memory order of ``dataset.features``.
     """
     _check_count("per_class", per_class, 1)
     if dataset.hidden_target_labels is None:
@@ -513,10 +517,12 @@ def with_labeled_targets(dataset, per_class):
     picked = np.concatenate(picked)
     rest = np.setdiff1d(np.arange(dataset.n_target), picked)
     order = np.concatenate([picked, rest])
-    target_cols = dataset.features[:, dataset.n_source :][:, order]
+    n_s = dataset.n_source
+    columns = np.concatenate([np.arange(n_s), n_s + order])
+    features = dataset.features
     return Dataset(
-        features=np.hstack([dataset.features[:, : dataset.n_source], target_cols]),
-        n_source=dataset.n_source,
+        features=gather_columns(features, columns, np.empty(features.size)),
+        n_source=n_s,
         n_labeled_target=picked.size,
         n_unlabeled_target=rest.size,
         source_labels=dataset.source_labels,

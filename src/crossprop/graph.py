@@ -273,10 +273,15 @@ class RowBlockCost:
 
     ``U`` holds the cost-space coordinates of :func:`cost_space`, one column
     per sample; callers with coordinates ``Z``, soft labels ``F`` and a
-    weight ``beta`` write ``RowBlockCost(cost_space(Z, F, beta))``.  Each
-    cost is the squared distance between two columns of ``U``, computed
-    with one product per block.  :meth:`fill` computes the costs of a few
-    rows against their candidate column sets into buffers that
+    weight ``beta`` write ``RowBlockCost(cost_space(Z, F, beta))``.  ``U``
+    may also come as column blocks with the same rows,
+    ``RowBlockCost(U_1, U_2, ...)``, the costs of their joined columns:
+    :func:`crossprop.linalg.sq_dist_operand` writes each block once into
+    the one operand the costs are read from, so the blocks are never
+    joined into a copy, and the costs equal those of the joined ``U`` bit
+    for bit.  Each cost is the squared distance between two columns of
+    ``U``, computed with one product per block.  :meth:`fill` computes the
+    costs of a few rows against their candidate column sets into buffers that
     :func:`_map_row_blocks` allocates once per pass, so no ``n x n`` array
     is built.  Entries are the costs of :func:`affinity_cost` up to rounding
     (exactly the same for small-integer coordinates and soft labels and an
@@ -291,10 +296,9 @@ class RowBlockCost:
     computed.
     """
 
-    def __init__(self, U):
-        U, _ = _coordinates(U)
-        self.shape = (U.shape[1], U.shape[1])
-        self._operand = sq_dist_operand(U)
+    def __init__(self, *blocks):
+        self._operand = sq_dist_operand(*(_coordinates(U)[0] for U in blocks))
+        self.shape = (self._operand.shape[1],) * 2
 
     def work_size(self, n_rows, col_sets):
         """Entries of the work buffer :meth:`fill` needs for ``n_rows`` rows against ``col_sets``."""

@@ -24,7 +24,7 @@ Jacobi-preconditioned conjugate gradients, so no ridge touches it.
 import numpy as np
 import scipy.linalg
 
-from .exceptions import SingularMatrix
+from .exceptions import ShapeError, SingularMatrix
 
 RIDGE_EPS = 1e-6
 
@@ -76,11 +76,34 @@ def block_rows(n_cols):
     return max(1, BLOCK_BYTES // (8 * max(n_cols, 1)))
 
 
-def sq_dist_operand(Z):
-    """``[Z; 1; ||z||^2]``: the columns of ``Z`` ready for :func:`sq_dists_into`."""
-    Z = np.asarray(Z, dtype=float)
-    ones = np.ones((1, Z.shape[1]))
-    return np.vstack([Z, ones, np.einsum("ij,ij->j", Z, Z)[None, :]])
+def sq_dist_operand(*blocks):
+    """``[Z; 1; ||z||^2]`` for ``Z = [Z_1, Z_2, ...]``, ready for :func:`sq_dists_into`.
+
+    ``Z`` is given as one or more column blocks with the same number of
+    rows.  Each block is written once into the result and its norms are
+    computed on the block itself, so the columns of ``Z`` are never joined
+    into a copy of their own.  The result takes the memory order that
+    ``np.vstack`` would give the joined ``[Z; 1; ||z||^2]``, Fortran when
+    every block's columns are laid out closer than its rows, and equals
+    that operand bit for bit.  Raises :class:`ShapeError` when the blocks
+    do not share their rows.
+    """
+    blocks = [np.asarray(Z, dtype=float) for Z in blocks]
+    h = blocks[0].shape[0]
+    if any(Z.ndim != 2 or Z.shape[0] != h for Z in blocks):
+        shapes = [Z.shape for Z in blocks]
+        raise ShapeError(f"column blocks of shapes {shapes} do not share their rows")
+    n = sum(Z.shape[1] for Z in blocks)
+    fortran = all(Z.strides[0] < Z.strides[1] for Z in blocks)
+    out = np.empty((h + 2, n), order="F" if fortran else "C")
+    out[h] = 1.0
+    at = 0
+    for Z in blocks:
+        cols = slice(at, at + Z.shape[1])
+        out[:h, cols] = Z
+        out[h + 1, cols] = np.einsum("ij,ij->j", Z, Z)
+        at = cols.stop
+    return out
 
 
 def gather_columns(B, cols, out):

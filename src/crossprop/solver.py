@@ -68,11 +68,15 @@ value it returns for a fit's state is the value the fit logged.  Only a
 graph that carries no multipliers (the Gaussian graph of ``sp``, or one
 built by hand) has them computed at the evaluation point.
 
-The initial graph is propagated exactly as every later graph is.  The loop
-stops early once the label change, the fraction of *unlabeled* target
-samples whose pseudo-label changed (the labeled target prefix is not
-counted), drops below ``1e-3``, or the relative objective change drops
-below ``1e-5``.
+The initial graph is propagated exactly as every later graph is.  It is
+built from the raw features before :func:`factor_scatter` runs.  The two
+are independent, and the initial graph's distance operand is a copy of
+``X`` (:func:`crossprop.linalg.sq_dist_operand`), so in this order that
+copy is freed before the ``m x m`` factor exists and the two are never
+held together.  The loop stops early once the label change, the fraction
+of *unlabeled* target samples whose pseudo-label changed (the labeled
+target prefix is not counted), drops below ``1e-3``, or the relative
+objective change drops below ``1e-5``.
 """
 
 import numbers
@@ -150,9 +154,29 @@ class FitReport:
 
 
 def centered_gram(X):
-    """Total-scatter matrix ``X H X.T`` with ``H = I - (1/n) 11^T``."""
-    Xc = X - X.mean(axis=1, keepdims=True)
-    return Xc @ Xc.T
+    """Total-scatter matrix ``X H X.T`` with ``H = I - (1/n) 11^T``.
+
+    The scatter is accumulated over column blocks of about
+    :data:`crossprop.linalg.BLOCK_BYTES`: each centred block ``X_b - mu``
+    adds ``(X_b - mu)(X_b - mu).T`` to the upper triangle with one
+    ``dsyrk``, which is then mirrored once, so the only centred copy held is
+    one block.  The result is the full, exactly symmetric, Fortran-ordered
+    ``(m, m)`` matrix.
+    """
+    X = np.asarray(X, dtype=float)
+    m, n = X.shape
+    mean = X.mean(axis=1, keepdims=True)
+    gram = np.zeros((m, m), order="F")
+    step = block_rows(m)
+    # One Fortran-ordered buffer, which dsyrk reads in place, holds each block.
+    buffer = np.empty((m, min(step, n)), order="F")
+    for start in range(0, n, step):
+        cols = slice(start, min(start + step, n))
+        block = np.subtract(X[:, cols], mean, out=buffer[:, : cols.stop - start])
+        gram = scipy.linalg.blas.dsyrk(1.0, block, beta=1.0, c=gram, overwrite_c=1)
+    buffer = block = None  # freed before the mirror's m x m temporary
+    gram += np.triu(gram, 1).T
+    return gram
 
 
 def _discrepancy_form(Y, M):
@@ -360,6 +384,11 @@ def _propagate(graph, clamp, known):
 def fit(dataset, params=None, log_sink=None, on_iteration=None):
     """Run the joint solver on ``dataset``.
 
+    Set-up builds and propagates the initial graph first and factors the
+    scatter (:func:`factor_scatter`) after it, so the graph's copy of the
+    features is freed before the ``m x m`` factor exists; neither result
+    depends on the other.
+
     Parameters
     ----------
     dataset : Dataset
@@ -382,7 +411,6 @@ def fit(dataset, params=None, log_sink=None, on_iteration=None):
     # Fortran order makes X.T the C-ordered rows the projection step reads,
     # so a C-ordered dataset is copied here, once per fit.
     X = np.asfortranarray(dataset.features)
-    factor = factor_scatter(X)
     y_s = dataset.source_labels
     known = dataset.labeled_target_labels
     unlabeled = slice(known.size, None)
@@ -398,6 +426,8 @@ def fit(dataset, params=None, log_sink=None, on_iteration=None):
     else:
         graph = init_graph(X, params.k, params.delta, split)
     R, scale, F, labels = _propagate(graph, clamp, known)
+    # The initial graph's operand, a copy of X, is freed before R exists.
+    factor = factor_scatter(X)
 
     report = FitReport(
         target_labels=labels,
