@@ -46,9 +46,9 @@ def parse_config(path):
     """Read a flat ``key = value`` config file into a string dict."""
     table = {}
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             lines = fh.readlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     for lineno, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()

@@ -269,10 +269,18 @@ def save_features_csv(path, samples):
             fh.write(",".join(CSV_FLOAT_FMT % v for v in row) + "\n")
 
 
+def _text_lines(path):
+    """The stripped non-blank lines of a UTF-8 text file; :class:`ParseError` if not UTF-8."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return [line.strip() for line in fh if line.strip()]
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text ({exc})") from exc
+
+
 def load_features_csv(path):
-    """Read a features CSV into a sample-major ``(n, m)`` float matrix."""
-    with open(path) as fh:
-        lines = [line.strip() for line in fh if line.strip()]
+    """Read a features CSV into a sample-major ``(n, m)`` float matrix; ``n`` may be 0."""
+    lines = _text_lines(path)
     if not lines:
         raise ParseError(f"{path}: empty features file")
     header = lines[0].split(",")
@@ -288,7 +296,7 @@ def load_features_csv(path):
             rows.append([float(p) for p in parts])
         except ValueError as exc:
             raise ParseError(f"{path}:{lineno}: {exc}") from exc
-    out = np.array(rows, dtype=float)
+    out = np.array(rows, dtype=float).reshape(-1, m)
     if not np.all(np.isfinite(out)):
         raise ParseError(f"{path}: non-finite feature value")
     return out
@@ -305,8 +313,7 @@ def save_labels_csv(path, labels):
 
 def load_labels_csv(path):
     """Read a labels CSV written by :func:`save_labels_csv`."""
-    with open(path) as fh:
-        lines = [line.strip() for line in fh if line.strip()]
+    lines = _text_lines(path)
     if not lines or lines[0] != "label":
         raise ParseError(f"{path}: expected 'label' header")
     try:
@@ -348,7 +355,8 @@ def load_dataset(
         Labels CSV covering the labeled prefix
         (``n_source + n_labeled_target`` rows).
     n_source, n_labeled_target, n_unlabeled_target : int
-        Declared block sizes; must add up to the number of samples on disk.
+        Declared block sizes; must add up to the number of samples on disk,
+        else :class:`ShapeError` is raised before any standardizing.
     n_classes : int, optional
         Number of classes; inferred as ``max(label) + 1`` when omitted.
     standardize : bool, optional
@@ -361,6 +369,9 @@ def load_dataset(
         raise ShapeError(
             f"labels file has {labels.size} rows, split declares {n_labeled}"
         )
+    n = n_labeled + n_unlabeled_target
+    if samples.shape[0] != n:
+        raise ShapeError(f"features file has {samples.shape[0]} samples, split declares {n}")
     features = samples.T
     if standardize:
         features = zscore(features)
@@ -413,7 +424,7 @@ def gen_synthetic_shift(
     Parameters
     ----------
     seed : int
-        Seed for the PCG64 generator; fixes the dataset exactly.
+        Seed for the PCG64 generator, at least 0; fixes the dataset exactly.
     per_class : int
         Samples per class in each domain (at least 2).
     n_classes : int
@@ -435,10 +446,11 @@ def gen_synthetic_shift(
     Raises
     ------
     ArgumentError
-        If a count is not an integer of at least 2, ``rotation_deg`` or
-        ``shift`` is not finite, or ``noise_scale`` is negative or not
-        finite.
+        If ``seed`` is not an integer of at least 0, a count is not an
+        integer of at least 2, ``rotation_deg`` or ``shift`` is not finite,
+        or ``noise_scale`` is negative or not finite.
     """
+    _check_count("seed", seed, 0)
     _check_count("per_class", per_class, 2)
     _check_count("n_classes", n_classes, 2)
     _check_count("dim", dim, 2)

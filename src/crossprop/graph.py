@@ -63,16 +63,15 @@ last place (about 1e-13).  :func:`build_graph` and
 :func:`quadratic_charge` accept a dense cost array (:func:`affinity_cost`),
 read as ``A[np.ix_(rows, cols)]``, or a :class:`RowBlockCost`, which
 computes each block from the sample coordinates; both go through the same
-per-block step, :func:`_graph_step`.  The fit only uses
-:class:`RowBlockCost`, so it never builds an ``n x n`` cost matrix; it
-holds the cost-space coordinates of :func:`cost_space`, so each block of
-costs is one product.  :func:`build_graph` stores the row multipliers it
-computed on the :class:`AffinityGraph`, and :func:`quadratic_charge` reads
-them from there when it is given no cost, instead of running the closed
-form a second time.
+per-block step.  The fit only uses :class:`RowBlockCost`, so it never
+builds an ``n x n`` cost matrix; it holds the cost-space coordinates of
+:func:`cost_space`, so each block of costs is one product.
 :func:`gaussian_knn_graph` and :func:`crossprop.baselines.nearest_neighbor`
 pick their nearest candidates through the same map over row blocks, the kNN
-graph with the same selection.
+graph with the same selection.  Every graph the module builds carries the
+row multipliers of the closed form it ran, so :func:`quadratic_charge`
+reads them from the :class:`AffinityGraph` when it is given no cost and
+never runs the closed form a second time for it.
 
 A graph is stored as one ``scipy.sparse.csr_array`` from the graph step to
 the CLI.  The solver reads each graph through one operator, ``D - S``
@@ -146,10 +145,11 @@ class AffinityGraph:
     rows, which were built with the class-block / ``delta`` split; it is
     ``None`` for an unstructured or Gaussian graph, whose rows all spend unit
     mass over all their candidates.  ``multipliers`` is the ``(n, 2)`` array
-    of row multipliers ``lam`` the graph step pinned while building the
-    rows (see :func:`_graph_step`), which :func:`quadratic_charge` charges;
-    it is ``None`` for a graph no graph step built, such as a Gaussian one.
-    It is frozen.
+    of row multipliers ``lam`` pinned while building the rows (see
+    :func:`build_graph`; a Gaussian graph's are those of its ``k`` nearest
+    distances), which :func:`quadratic_charge` charges.  Every graph this
+    module builds carries them; a graph built by hand may leave them
+    ``None`` and is then charged only under a given cost.  It is frozen.
     """
 
     rows: scipy.sparse.csr_array
@@ -594,43 +594,60 @@ def _block_edges(costs, k, mass, sel, work):
     )
 
 
-def _graph_step(A, k, delta, labels, build=True):
-    """The closed form of every row of ``A``, one block of rows at a time.
+def build_graph(A, k, delta, source_labels):
+    """Assemble an :class:`AffinityGraph` from a cost matrix.
 
-    ``A`` is a dense cost array or a :class:`RowBlockCost`.  Its rows come
-    in the groups of :func:`_row_groups`: the first ``labels.size`` rows
-    take the class-block / ``delta`` split, the others (all rows without
-    ``labels``) spend unit mass over all their candidates.  Each block of
-    rows takes one :func:`_closed_form` per candidate column set, whose
-    :func:`_block_edges` local columns map back through the set, and a split
-    row's mass comes from its source block.  The CSR slots are sized before
-    the pass, ``min(k, size)`` per row and column set, which no selection
-    exceeds, so a block allocates nothing that outlives it: it writes its
-    rows' multipliers and row-sorted positive edges in place.  Rows left
-    with empty slots close up after the pass, into new arrays.
+    ``A`` is a dense ``(n, n)`` cost array such as :func:`affinity_cost`
+    returns, or a :class:`RowBlockCost`; both are read one block of rows at
+    a time, so the fit never holds more than one block of costs.  With
+    ``source_labels`` the first ``source_labels.size`` rows, the sources,
+    use the class-block / ``delta`` split and the other rows the plain
+    update; a source row's source candidates are the other sources of its
+    class, whatever ``A`` holds for the other classes, and the graph
+    records those labels.  With ``source_labels=None`` every row is treated
+    like a target row (unit mass over all finite candidates).  A dense
+    ``A`` may hold ``+inf``, which excludes a candidate.
 
-    Returns
-    -------
-    lam : ndarray of shape (rows, 2)
-        Row multipliers: ``lam[i, 0]`` charges the source block of a source
-        row or the whole row of any other row; ``lam[i, 1]`` charges the
-        target block of a source row.
-    rows : csr_array of A's shape, or None
-        The graph rows, built only when ``build`` is true.
+    Each block of rows takes one :func:`_closed_form` per candidate column
+    set (:func:`_row_groups`), whose :func:`_block_edges` local columns map
+    back through the set; a split row's mass comes from its source block.
+    The CSR slots are sized before the pass, ``min(k, size)`` per row and
+    column set, so a block allocates nothing that outlives it: it writes its
+    rows' multipliers and row-sorted positive edges in place, and rows left
+    with empty slots close up after the pass, into new arrays.  The graph
+    keeps the ``(n, 2)`` multipliers for :func:`quadratic_charge`:
+    ``lam[i, 0]`` charges a source row's source block or any other row
+    whole, ``lam[i, 1]`` a source row's target block.
+
+    Raises :class:`ArgumentError` when ``k`` is not an integer of at least
+    1, ``delta`` is not in ``[0, 1]`` or a dense ``A`` holds a NaN or
+    ``-inf``, and :class:`ShapeError` when ``A`` is not square or there are
+    as many source labels as rows or more: a source row's ``1 - delta``
+    share needs target rows.
     """
+    _check_count("k", k, 1)
+    if not 0.0 <= delta <= 1.0:
+        raise ArgumentError(f"delta={delta} must lie in [0, 1]")
+    if len(A.shape) != 2 or A.shape[0] != A.shape[1]:
+        raise ShapeError(f"cost of shape {A.shape} is not square")
+    n = A.shape[0]
+    labels = None
+    if source_labels is not None:
+        labels = _as_labels(source_labels)
+        _check_cost_inputs(n, None, labels)
+        if labels.size == n:
+            raise ShapeError("source labels for every row leave no target rows")
     if not isinstance(A, RowBlockCost) and not np.all(A > -np.inf):
         # +inf excludes a candidate; a NaN or -inf cost has no row solution.
         raise ArgumentError("a dense cost must not hold NaN or -inf")
-    n = A.shape[0]
     groups = _row_groups(n, labels)
     lam = np.zeros((n, 2))
-    if build:
-        slots = np.zeros(n + 1, dtype=np.intp)  # first slot of each row
-        for rows, col_sets in groups:
-            slots[rows + 1] = sum(min(k, cols.size) for cols in col_sets)
-        np.cumsum(slots, out=slots)
-        indptr = np.zeros(n + 1, dtype=np.intp)  # row counts, summed after the pass
-        indices, data = np.empty(slots[-1], dtype=np.intp), np.empty(slots[-1])
+    slots = np.zeros(n + 1, dtype=np.intp)  # first slot of each row
+    for rows, col_sets in groups:
+        slots[rows + 1] = sum(min(k, cols.size) for cols in col_sets)
+    np.cumsum(slots, out=slots)
+    indptr = np.zeros(n + 1, dtype=np.intp)  # row counts, summed after the pass
+    indices, data = np.empty(slots[-1], dtype=np.intp), np.empty(slots[-1])
 
     def rows_of(rows, col_sets, costs, work):
         sels = [_closed_form(block, k, work) for block in costs]
@@ -640,12 +657,9 @@ def _graph_step(A, k, delta, labels, build=True):
             masses = [src_mass, 1.0 - src_mass]
         else:
             masses = [np.ones(rows.size)]
-        for b, (sel, mass) in enumerate(zip(sels, masses)):
-            lam[rows, b] = _multipliers(sel.denom, mass)
-        if not build:
-            return
         edges = []
-        for block, sel, mass, cols in zip(costs, sels, masses, col_sets):
+        for b, (block, sel, mass, cols) in enumerate(zip(costs, sels, masses, col_sets)):
+            lam[rows, b] = _multipliers(sel.denom, mass)
             row, local, weight = _block_edges(block, k, mass, sel, work)
             edges.append((row, cols[local], weight))
         row, col, weight = (np.concatenate(e) for e in zip(*edges))
@@ -662,50 +676,12 @@ def _graph_step(A, k, delta, labels, build=True):
         indptr[rows + 1] = count
 
     _map_row_blocks(A, groups, rows_of)
-    if not build:
-        return lam, None
     np.cumsum(indptr, out=indptr)
     nnz = indptr[-1]
     if nnz < slots[-1]:
         at = np.repeat(slots[:-1] - indptr[:-1], np.diff(indptr)) + np.arange(nnz)
         indices, data = indices[at], data[at]
-    return lam, scipy.sparse.csr_array((data, indices, indptr), shape=A.shape)
-
-
-def build_graph(A, k, delta, source_labels):
-    """Assemble an :class:`AffinityGraph` from a cost matrix.
-
-    ``A`` is a dense ``(n, n)`` cost array such as :func:`affinity_cost`
-    returns, or a :class:`RowBlockCost`; both are read through the same
-    loop over blocks of rows, so the fit never holds more than one block of
-    costs.  The graph keeps the row multipliers the step pinned, for
-    :func:`quadratic_charge`.
-
-    With ``source_labels`` the first ``source_labels.size`` rows, the
-    sources, use the class-block / ``delta`` split and the other rows the
-    plain update; a source row's source candidates are the other sources of
-    its class, whatever ``A`` holds for the other classes, and the graph
-    records those labels.  With ``source_labels=None`` every row is treated
-    like a target row (unit mass over all finite candidates).  A dense
-    ``A`` may hold ``+inf``, which excludes a candidate.  Raises
-    :class:`ArgumentError` when ``k`` is not an integer of at least 1,
-    ``delta`` is not in ``[0, 1]`` or a dense ``A`` holds a NaN or
-    ``-inf``, and :class:`ShapeError` when ``A`` is
-    not square or there are as many source labels as rows or more: a
-    source row's ``1 - delta`` share needs target rows.
-    """
-    _check_count("k", k, 1)
-    if not 0.0 <= delta <= 1.0:
-        raise ArgumentError(f"delta={delta} must lie in [0, 1]")
-    if len(A.shape) != 2 or A.shape[0] != A.shape[1]:
-        raise ShapeError(f"cost of shape {A.shape} is not square")
-    labels = None
-    if source_labels is not None:
-        labels = _as_labels(source_labels)
-        _check_cost_inputs(A.shape[0], None, labels)
-        if labels.size == A.shape[0]:
-            raise ShapeError("source labels for every row leave no target rows")
-    lam, rows = _graph_step(A, k, delta, labels)
+    rows = scipy.sparse.csr_array((data, indices, indptr), shape=A.shape)
     return AffinityGraph(rows, k, delta, labels, lam)
 
 
@@ -724,11 +700,13 @@ def gaussian_knn_graph(Z, k, *, width=1.0):
     ``a[k]`` (:func:`_below`); a row with fewer than ``k`` of them, whose
     ``k``-th and ``k + 1``-th distances tie, is ranked by
     :func:`_stable_smallest`, ties to the lower column.  A row whose kernel
-    weights all underflow is uniform.  The graph carries no multipliers.
-    Raises :class:`ArgumentError` when
-    ``k`` is not an integer of at least 1, ``width`` is not finite and
-    positive, ``Z`` holds a non-finite value, or there are fewer than two
-    samples, and :class:`ShapeError` when ``Z`` is not 2-D.
+    weights all underflow is uniform.  The graph carries the multipliers of
+    the same :func:`_closed_form`, those :func:`build_graph` pins over the
+    squared distances with ``k`` and no source labels.  Raises
+    :class:`ArgumentError` when ``k`` is not an integer of at least 1,
+    ``width`` is not finite and positive, ``Z`` holds a non-finite value, or
+    there are fewer than two samples, and :class:`ShapeError` when ``Z`` is
+    not 2-D.
     """
     _check_count("k", k, 1)
     if not 0.0 < width < np.inf:
@@ -740,10 +718,13 @@ def gaussian_knn_graph(Z, k, *, width=1.0):
     k_eff = min(k, n - 1)
     cols = np.empty((n, k_eff), dtype=np.intp)
     sq = np.empty((n, k_eff))
+    lam = np.zeros((n, 2))
 
     def nearest(rows, col_sets, costs, work):
         (D,) = costs
-        row, col = _below(D, _closed_form(D, k_eff, work).boundary, work)
+        sel = _closed_form(D, k_eff, work)
+        lam[rows, 0] = _multipliers(sel.denom, 1.0)
+        row, col = _below(D, sel.boundary, work)
         tied = np.bincount(row, minlength=rows.size) < k_eff
         near = np.empty((rows.size, k_eff), dtype=np.intp)
         near[~tied] = col[~tied[row]].reshape(-1, k_eff)
@@ -758,7 +739,7 @@ def gaussian_knn_graph(Z, k, *, width=1.0):
     weights[vanished] = 1.0 / k_eff
     indptr = np.arange(0, n * k_eff + 1, k_eff)
     rows = scipy.sparse.csr_array((weights.ravel(), cols.ravel(), indptr), shape=(n, n))
-    return AffinityGraph(rows, k_eff, 0.0)
+    return AffinityGraph(rows, k_eff, 0.0, multipliers=lam)
 
 
 def laplacian(graph):
@@ -818,25 +799,28 @@ def _symmetric_part(R):
 def quadratic_charge(A, graph):
     """Total quadratic regularization ``sum_i sum_b lam_{i,b} * ||row block||^2``.
 
-    With a cost ``A``, a dense cost array or a :class:`RowBlockCost`, the
-    multipliers are those the row updates pin under ``A``, computed with
-    the graph step's block loop over the class sets the graph records in
-    ``source_labels``; fallback rows carry ``lam = 0``.  With ``A=None``
-    they are the graph's own ``multipliers``, those of the costs it was
-    built from.  The block sums of squared weights come from the graph's
-    flat edge arrays.  Every edge is charged under a :class:`RowBlockCost`
-    or the graph's own multipliers; under a dense cost only the edges with
-    a finite cost are.  Raises :class:`ArgumentError` when ``A`` is ``None``
-    and the graph carries no multipliers, or when a dense ``A`` holds a NaN
-    or ``-inf``.
+    With ``A=None`` the multipliers are the graph's own ``multipliers``,
+    those of the costs it was built from.  With a cost ``A``, a dense cost
+    array or a :class:`RowBlockCost`, they are those the row updates pin
+    under ``A``: ``build_graph(A, graph.k, graph.delta,
+    graph.source_labels).multipliers``, over the class sets the graph
+    records; fallback rows carry ``lam = 0``.  The block sums of squared
+    weights come from the graph's flat edge arrays.  Every edge is charged
+    under a :class:`RowBlockCost` or the graph's own multipliers; under a
+    dense cost only the edges with a finite cost are.  Raises
+    :class:`ArgumentError` when ``A`` is ``None`` and the graph carries no
+    multipliers, or as :func:`build_graph` does under ``A``, and
+    :class:`ShapeError` when ``A`` is not of the graph's ``(n, n)`` shape.
     """
     labels = graph.source_labels
-    if A is not None:
-        lam, _ = _graph_step(A, graph.k, graph.delta, labels, build=False)
-    elif graph.multipliers is not None:
+    if A is None:
+        if graph.multipliers is None:
+            raise ArgumentError("no cost given and the graph carries no multipliers")
         lam = graph.multipliers
+    elif A.shape != graph.rows.shape:
+        raise ShapeError(f"cost of shape {A.shape} for a graph of shape {graph.rows.shape}")
     else:
-        raise ArgumentError("no cost given and the graph carries no multipliers")
+        lam = build_graph(A, graph.k, graph.delta, labels).multipliers
     rows, cols, weights = graph.edges()
     n_s = 0 if labels is None else labels.size
     charge = lam[rows, ((rows < n_s) & (cols >= n_s)).astype(int)] * weights**2

@@ -63,10 +63,9 @@ optimizes, so the multiplier term carries the matching factor one half;
 with the multipliers ``Lambda`` treated as the iteration's fixed
 parameters, every one of the three updates is then an exact minimizer of
 the same function and the objective cannot increase within an iteration.
-:func:`objective` charges a self-learned graph's own ``Lambda``, so the
-value it returns for a fit's state is the value the fit logged.  Only a
-graph that carries no multipliers (the Gaussian graph of ``sp``, or one
-built by hand) has them computed at the evaluation point.
+:func:`objective` charges the graph's own ``Lambda``, which every graph
+the library builds carries, the Gaussian graph of ``sp`` included, so the
+value it returns for a fit's state is the value the fit logged.
 
 The initial graph is propagated exactly as every later graph is.  It is
 built from the raw features before :func:`factor_scatter` runs.  The two
@@ -86,7 +85,7 @@ import numpy as np
 import scipy.linalg
 
 from .data import Dataset, HyperParams, accuracy, one_hot
-from .exceptions import ConfigError, DimensionError
+from .exceptions import ConfigError, DimensionError, ShapeError
 from .graph import (
     RowBlockCost,
     _symmetric_part,
@@ -299,17 +298,19 @@ def objective(
     Frobenius norm of the iteration's Laplacian so the monitored value
     matches the normalized Laplacian the projection step saw.  The row
     multipliers are computed under ``cost_matrix`` when it is supplied, a
-    dense cost array or a :class:`crossprop.graph.RowBlockCost`.  Without
-    it they are the graph's own ``multipliers``, pinned by the graph step
-    that built it, so a fit's state evaluates to the value the fit logged.
-    A graph without multipliers (a Gaussian or hand-built one) has them
-    computed at the evaluation point from
-    ``RowBlockCost(cost_space(P.T @ X, F, beta))``, one block of rows at a
-    time, so no ``n x n`` array is built; a structured graph's class sets
-    come from its ``source_labels``.  The graph and label energies
-    ``tr(Y.T L Y)`` are each read as ``tr(Y.T (D - S) Y)``, one sparse
-    product with :func:`crossprop.graph.row_laplacian`.
+    dense cost array or a :class:`crossprop.graph.RowBlockCost`
+    (:func:`crossprop.graph.quadratic_charge`).  Without it they are the
+    graph's own ``multipliers``, pinned when it was built, so a fit's state
+    evaluates to the value the fit logged; a graph built by hand without
+    multipliers then raises :class:`crossprop.exceptions.ArgumentError`.
+    The graph and label energies ``tr(Y.T L Y)`` are each read as
+    ``tr(Y.T (D - S) Y)``, one sparse product with
+    :func:`crossprop.graph.row_laplacian`.  Raises :class:`ShapeError` when
+    ``X`` has not one column, or ``F`` not one row, per graph sample.
     """
+    n = graph.n_samples
+    if np.shape(X)[1:] != (n,) or (F is not None and np.shape(F)[:1] != (n,)):
+        raise ShapeError(f"X {np.shape(X)} or F {np.shape(F)} does not fit {n} graph samples")
     R = row_laplacian(graph)
     return _objective(P, P.T @ X, graph, R, F, M, alpha, beta, gamma, graph_scale, cost_matrix)
 
@@ -322,8 +323,6 @@ def _energy(R, Y):
 def _objective(P, Z, graph, R, F, M, alpha, beta, gamma, graph_scale, cost_matrix=None):
     """:func:`objective` with ``Z = P.T @ X`` and ``R = row_laplacian(graph)`` given."""
     label_energy = 0.0 if F is None else _energy(R, np.asarray(F, dtype=float))
-    if cost_matrix is None and graph.multipliers is None:
-        cost_matrix = RowBlockCost(cost_space(Z, F, beta))
     charge = quadratic_charge(cost_matrix, graph)
     discrepancy = float(np.trace(_discrepancy_form(Z, M)))
     return (

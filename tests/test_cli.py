@@ -89,6 +89,12 @@ class TestParseConfig:
         with pytest.raises(ConfigError):
             cli.parse_config(str(tmp_path / "absent.cfg"))
 
+    def test_non_utf8_file_rejected(self, tmp_path):
+        path = tmp_path / "c.cfg"
+        path.write_bytes(b"name = caf\xe9\n")
+        with pytest.raises(ConfigError):
+            cli.parse_config(str(path))
+
 
 class TestSynth:
     def test_writes_deterministic_files(self, tmp_path):
@@ -143,6 +149,22 @@ class TestSynth:
             {"per_class": 1, "features": "f.csv", "labels": "l.csv"},
         )
         assert cli.main(["synth", "--config", cfg]) == 2
+
+    def test_negative_seed_exits_config(self, tmp_path, capsys):
+        # It used to end in a numpy ValueError traceback, exit 1.
+        cfg = write_config(
+            tmp_path / "synth.cfg",
+            {"seed": -1, "features": "f.csv", "labels": "l.csv"},
+        )
+        assert cli.main(["synth", "--config", cfg]) == 2
+        assert "seed=-1" in capsys.readouterr().err
+        assert not (tmp_path / "f.csv").exists()
+
+    def test_non_utf8_config_exits_config(self, tmp_path, capsys):
+        path = tmp_path / "synth.cfg"
+        path.write_bytes(b"features = f\xe9.csv\nlabels = l.csv\n")
+        assert cli.main(["synth", "--config", str(path)]) == 2
+        assert "synth.cfg" in capsys.readouterr().err
 
 
 class TestFitPipeline:
@@ -336,6 +358,22 @@ class TestExitCodes:
         )
         assert cli.main(["fit", "--config", cfg]) == 3
 
+    @pytest.mark.parametrize("name", ["features", "labels"])
+    def test_non_utf8_input_is_data_error_naming_the_file(self, synth_files, capsys, name):
+        tmp = synth_files
+        bad = tmp / f"bad_{name}.csv"
+        bad.write_bytes((tmp / f"{name}.csv").read_bytes() + b"\xff\n")
+        cfg = write_config(tmp / "fit.cfg", fit_table(tmp, **{name: bad}))
+        assert cli.main(["fit", "--config", cfg]) == 3
+        assert f"bad_{name}.csv" in capsys.readouterr().err
+
+    def test_header_only_features_is_data_error(self, synth_files, capsys):
+        tmp = synth_files
+        (tmp / "empty.csv").write_text("f0,f1,f2,f3,f4,f5\n")
+        cfg = write_config(tmp / "fit.cfg", fit_table(tmp, features=tmp / "empty.csv"))
+        assert cli.main(["fit", "--config", cfg]) == 3
+        assert "features file has 0 samples, split declares 72" in capsys.readouterr().err
+
     def test_truth_length_mismatch_is_data_error(self, synth_files):
         tmp = synth_files
         save_labels_csv(str(tmp / "short.csv"), np.array([0, 1, 2]))
@@ -371,6 +409,15 @@ class TestEval:
              "--truth", str(tmp_path / "b.csv")]
         ) == 0
         assert capsys.readouterr().out.strip() == "1.0000"
+
+    def test_non_utf8_predictions_exit_data(self, tmp_path, capsys):
+        (tmp_path / "a.csv").write_bytes(b"label\n0\n\xff\n")
+        save_labels_csv(str(tmp_path / "b.csv"), np.array([0, 1]))
+        assert cli.main(
+            ["eval", "--pred", str(tmp_path / "a.csv"),
+             "--truth", str(tmp_path / "b.csv")]
+        ) == 3
+        assert "a.csv" in capsys.readouterr().err
 
     def test_partial_agreement_formats_four_digits(self, tmp_path, capsys):
         save_labels_csv(str(tmp_path / "a.csv"), np.array([0, 0, 0]))

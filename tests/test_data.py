@@ -428,6 +428,19 @@ class TestFeaturesCsv:
         with pytest.raises(ParseError):
             load_features_csv(path)
 
+    def test_header_only_is_an_empty_matrix_of_its_width(self, tmp_path):
+        # It used to load as a 1-D empty array.
+        path = tmp_path / "f.csv"
+        path.write_text("f0,f1,f2\n")
+        out = load_features_csv(path)
+        assert out.shape == (0, 3)
+
+    def test_non_utf8_file_rejected_by_path(self, tmp_path):
+        path = tmp_path / "f.csv"
+        path.write_bytes(b"f0,f1\n1.0,\xff\n")
+        with pytest.raises(ParseError, match="f.csv"):
+            load_features_csv(path)
+
 
 class TestLabelsCsv:
     def test_round_trip(self, tmp_path):
@@ -445,6 +458,12 @@ class TestLabelsCsv:
         path = tmp_path / "y.csv"
         path.write_text("label\n1.5\n")
         with pytest.raises(ParseError):
+            load_labels_csv(path)
+
+    def test_non_utf8_file_rejected_by_path(self, tmp_path):
+        path = tmp_path / "y.csv"
+        path.write_bytes(b"label\n\xe9\n")
+        with pytest.raises(ParseError, match="y.csv"):
             load_labels_csv(path)
 
 
@@ -476,6 +495,13 @@ class TestLoadDataset:
         f, y = self._write(tmp_path, rng.standard_normal((3, 2)), [0, 1])
         with pytest.raises(ShapeError):
             cp.load_dataset(f, y, 3, 0, 0)
+
+    @pytest.mark.parametrize("n", [0, 3])
+    def test_sample_count_is_checked_before_standardizing(self, rng, tmp_path, n):
+        # Header-only features used to reach zscore as a 1-D array (AxisError).
+        f, y = self._write(tmp_path, rng.standard_normal((n, 2)), [0, 1])
+        with pytest.raises(ShapeError, match=f"features file has {n} samples"):
+            cp.load_dataset(f, y, 2, 0, 2)
 
     def test_binary_features_accepted(self, rng, tmp_path):
         samples = rng.standard_normal((4, 3))
@@ -566,11 +592,14 @@ class TestSyntheticShift:
             dict(noise_scale=np.nan),
             dict(shift=(np.inf, 1.0)),
             dict(noise_scale=-0.1),
+            dict(seed=-1),
+            dict(seed=1.5),
+            dict(seed=None),
         ],
     )
     def test_invalid_arguments(self, kwargs):
         with pytest.raises(ArgumentError):
-            cp.gen_synthetic_shift(0, **kwargs)
+            cp.gen_synthetic_shift(**{"seed": 0, **kwargs})
 
 
 class TestWithLabeledTargets:

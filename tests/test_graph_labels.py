@@ -3,9 +3,10 @@
 A structured graph's source rows are split by the source labels given to
 ``build_graph``; the graph keeps them in ``source_labels``, and the
 quadratic charge takes its class sets from there, whatever cost it is
-charged under.  The graph also carries the row multipliers its graph step
-pinned, so a fit's objective reads them instead of rerunning the closed
-form, and the objective of a fit's state is the value the fit logged.
+charged under.  Every graph the library builds, the Gaussian kNN graph
+included, also carries the row multipliers it pinned, so a fit's objective
+reads them instead of rerunning the closed form, and the objective of a
+fit's state is the value the fit logged.
 """
 
 import numpy as np
@@ -14,7 +15,7 @@ import pytest
 import crossprop as cp
 import crossprop.graph
 from crossprop.exceptions import ArgumentError, ShapeError
-from crossprop.graph import RowBlockCost, _graph_step, cost_space, quadratic_charge
+from crossprop.graph import RowBlockCost, block_multiplier, cost_space, quadratic_charge
 
 
 @pytest.fixture
@@ -59,21 +60,22 @@ def test_objective_without_a_cost_matches_the_masked_cost(structured):
 
 @pytest.mark.parametrize("ablation", ["full", "sp", "dg", "ds"])
 def test_fit_objective_reuses_the_graph_step_multipliers(monkeypatch, ablation):
-    # Only the Gaussian graph of ``sp`` has no graph step whose multipliers
-    # the objective could read, so it reruns the closed form once per
-    # iteration; the other ablations never do.
+    # One pass over the row blocks builds each graph, the initial one
+    # included, and the objective reads the multipliers that pass pinned.
+    # The Gaussian graph of ``sp`` used to carry none, so the objective ran
+    # a second pass per iteration.
     ds = cp.gen_synthetic_shift(0, per_class=20, n_classes=3)
-    reruns = []
-    step = crossprop.graph._graph_step
+    passes = []
+    map_row_blocks = crossprop.graph._map_row_blocks
 
-    def counting(*args, **kwargs):
-        if not kwargs.get("build", True):
-            reruns.append(1)
-        return step(*args, **kwargs)
+    def counting(*args):
+        passes.append(1)
+        return map_row_blocks(*args)
 
-    monkeypatch.setattr(crossprop.graph, "_graph_step", counting)
+    monkeypatch.setattr(crossprop.graph, "_map_row_blocks", counting)
     report = cp.fit(ds, cp.HyperParams(k=5, iterations=4, ablation=ablation))
-    assert len(reruns) == (report.iterations if ablation == "sp" else 0)
+    assert report.iterations >= 2
+    assert len(passes) == report.iterations + 1
 
 
 @pytest.mark.parametrize("ablation", ["full", "sp", "dg", "ds"])
@@ -112,17 +114,67 @@ def test_built_graph_carries_the_multipliers_of_its_graph_step(dense, structured
     else:
         cost = RowBlockCost(cost_space(Z, F, 0.1))
     graph = cp.build_graph(cost, 4, 0.8, labels)
-    lam, _ = _graph_step(cost, 4, 0.8, graph.source_labels, build=False)
-    np.testing.assert_array_equal(graph.multipliers, lam, strict=True)
+    # Each row block's multiplier on its own, from the dense costs.
+    A = cp.affinity_cost(Z, F, 0.1)
+    n_s = 0 if labels is None else labels.size
+    expected = np.zeros((30, 2))
+    for i in range(30):
+        if i < n_s:
+            same = np.flatnonzero(labels == labels[i])
+            src = A[i, same]
+            mass = 0.8 if np.isfinite(src).any() else 0.0
+            blocks = [(src, mass), (A[i, n_s:], 1.0 - mass)]
+        else:
+            blocks = [(A[i], 1.0)]
+        for b, (costs, mass) in enumerate(blocks):
+            expected[i, b] = block_multiplier(costs, 4, mass)
+    rtol = 0.0 if dense else 1e-12
+    np.testing.assert_allclose(graph.multipliers, expected, rtol=rtol, atol=0.0)
 
 
-def test_gaussian_graph_carries_no_multipliers_to_charge():
+def test_gaussian_graph_carries_the_multipliers_of_its_distances():
     Z = np.random.default_rng(4).standard_normal((2, 12))
     graph = cp.gaussian_knn_graph(Z, 3)
-    assert graph.multipliers is None
+    expected = cp.build_graph(RowBlockCost(Z), 3, 0.0, None).multipliers
+    np.testing.assert_array_equal(graph.multipliers, expected, strict=True)
+    assert np.all(graph.multipliers[:, 0] > 0.0)
+    assert quadratic_charge(None, graph) == quadratic_charge(RowBlockCost(Z), graph)
+
+
+def test_objective_of_a_graph_without_multipliers_needs_a_cost():
+    # The objective used to charge such a graph under the evaluation point's
+    # costs, RowBlockCost(cost_space(P.T @ X, F, beta)), which gave 70.73529605487009.
+    rng = np.random.default_rng(6)
+    X = rng.standard_normal((4, 24))
+    P = rng.standard_normal((4, 2))
+    F = rng.dirichlet(np.ones(3), size=24)
+    own = cp.init_graph(X, 3, 0.8, np.repeat([0, 1, 2], 4))
+    graph = cp.AffinityGraph(own.rows, own.k, own.delta, own.source_labels)
+    args = (P, graph, F, X, np.ones((24, 1)) / 24, 1.0, 0.1, 0.1)
     with pytest.raises(ArgumentError):
-        quadratic_charge(None, graph)
-    assert quadratic_charge(RowBlockCost(Z), graph) > 0.0
+        cp.objective(*args)
+    cost = RowBlockCost(cost_space(P.T @ X, F, 0.1))
+    value = cp.objective(*args, cost_matrix=cost)
+    assert value == pytest.approx(70.73529605487009, rel=1e-12, abs=0.0)
+
+
+def test_charge_and_objective_reject_inputs_of_another_size(structured):
+    # A 30-sample cost against this 24-sample graph used to return a charge
+    # (3.4779 here) and a 20-sample one to raise a bare IndexError.
+    Z, labels, graph = structured
+    rng = np.random.default_rng(7)
+    for n in (20, 30):
+        Y = rng.standard_normal((2, n))
+        for cost in (RowBlockCost(Y), cp.affinity_cost(Y, None, 0.0)):
+            with pytest.raises(ShapeError):
+                quadratic_charge(cost, graph)
+    X = np.vstack([Z, np.ones((1, 24))])
+    P = np.eye(3)[:, :2]
+    rest = (np.ones((24, 1)) / 24, 1.0, 0.1, 0.1)
+    with pytest.raises(ShapeError):
+        cp.objective(P, graph, None, X[:, :20], *rest)
+    with pytest.raises(ShapeError):
+        cp.objective(P, graph, np.full((20, 3), 1 / 3), X, *rest)
 
 
 @pytest.mark.parametrize("ablation", ["full", "sp", "dg", "ds"])

@@ -18,7 +18,7 @@ import pytest
 import crossprop as cp
 import crossprop.graph
 import crossprop.linalg
-from crossprop.graph import RowBlockCost, _graph_step, cost_space
+from crossprop.graph import RowBlockCost, cost_space
 
 N_SOURCE, N_TARGET = 61, 52
 ROWS = 7  # rows of a block against all samples
@@ -77,10 +77,10 @@ def test_graph_step_is_bit_identical_across_worker_counts(
             else:
                 cost = cp.affinity_cost(Z, F, beta, mask)
             graph = cp.build_graph(cost, 5, 0.8, mask)
-            lam, rows = _graph_step(cost, 5, 0.8, mask)
+            again = cp.build_graph(cost, 5, 0.8, mask)
         assert opened == ([] if count == 1 else [1, 1])
-        np.testing.assert_array_equal(graph.multipliers, lam, strict=True)
-        results.append((graph.rows, rows, lam))
+        np.testing.assert_array_equal(graph.multipliers, again.multipliers, strict=True)
+        results.append((graph.rows, again.rows, graph.multipliers))
     S1, _, lam1 = results[0]
     for S, R, lam in results:
         assert_same_csr(S, S1)
@@ -97,13 +97,16 @@ def test_knn_graph_and_nearest_neighbor_are_bit_identical_across_worker_counts(
         with monkeypatch.context() as mp:
             workers(mp, count)
             opened = pools(mp)
-            graphs.append(cp.gaussian_knn_graph(Z, 5).rows)
+            graphs.append(cp.gaussian_knn_graph(Z, 5))
             predictions.append(
                 cp.nearest_neighbor(Z[:, :N_SOURCE], labels, Z[:, N_SOURCE:])
             )
         assert opened == ([] if count == 1 else [1, 1])
     for graph, prediction in zip(graphs, predictions):
-        assert_same_csr(graph, graphs[0])
+        assert_same_csr(graph.rows, graphs[0].rows)
+        np.testing.assert_array_equal(
+            graph.multipliers, graphs[0].multipliers, strict=True
+        )
         np.testing.assert_array_equal(prediction, predictions[0], strict=True)
 
 
@@ -114,7 +117,7 @@ def test_row_writes_hold_under_frequent_thread_switches(monkeypatch):
     train, test = Z[:, :N_SOURCE], Z[:, N_SOURCE:]
     with monkeypatch.context() as mp:
         workers(mp, 1)
-        graph = cp.gaussian_knn_graph(Z, 5).rows
+        graph = cp.gaussian_knn_graph(Z, 5)
         prediction = cp.nearest_neighbor(train, labels, test)
     workers(monkeypatch, 4)
     opened = pools(monkeypatch)
@@ -122,7 +125,9 @@ def test_row_writes_hold_under_frequent_thread_switches(monkeypatch):
     sys.setswitchinterval(1e-6)
     try:
         for _ in range(20):
-            assert_same_csr(cp.gaussian_knn_graph(Z, 5).rows, graph)
+            again = cp.gaussian_knn_graph(Z, 5)
+            assert_same_csr(again.rows, graph.rows)
+            np.testing.assert_array_equal(again.multipliers, graph.multipliers)
             np.testing.assert_array_equal(
                 cp.nearest_neighbor(train, labels, test), prediction, strict=True
             )
